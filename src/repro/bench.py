@@ -86,10 +86,10 @@ DEFAULT_CAMPAIGN_CONFIG = {
     "supervised_jobs": 2,
     "supervised_timeout_s": 120.0,
     "supervised_retries": 2,
-    # Ingestion series: one synthesized record stream appended
-    # through the JSONL writer and the columnar WAL-tail writer
-    # (``chunk_records`` rows per sealed npz chunk), then aggregated
-    # off each store.
+    # Ingestion series: one synthesized record stream appended as
+    # legacy JSONL lines and through the result store's WAL-tail
+    # writer (``chunk_records`` rows per sealed npz chunk), then
+    # aggregated off each.
     "ingest_records": 512,
     "ingest_chunk_records": 128,
     # Video series: the rateless half of the ``video`` experiment on
@@ -190,7 +190,7 @@ def _ingest_stream(n_records: int) -> List[Dict[str, Any]]:
 
     Deterministic stand-ins with the shape of real scenario records
     (a few params, a handful of float metrics, embedded CRC) so both
-    backends pay their genuine per-record serialization and
+    write paths pay their genuine per-record serialization and
     durability costs.
     """
     from types import SimpleNamespace
@@ -239,12 +239,13 @@ def measure_campaigns(config: Optional[dict] = None
     ``slot_vs_event_speedup``.
 
     Also measures the result-store series (``ingest_*`` config keys):
-    the same synthesized record stream appended through the JSONL
-    writer and the columnar WAL-tail writer, then fully aggregated
-    off each store.  The gated ratio ``colstore_ingest_ratio`` —
-    columnar records/sec over JSONL records/sec — pins the columnar
-    backend's per-record durability cost (tail fsync + periodic npz
-    seal) relative to the plain JSONL baseline on the same machine.
+    the same synthesized record stream appended as legacy JSONL
+    lines (a plain :class:`repro.campaigns.checkpoint.RecordWriter`)
+    and through the result store's chunk-sealing writer, then fully
+    aggregated off each.  The gated ratio ``colstore_ingest_ratio`` —
+    store records/sec over JSONL records/sec — pins the store's
+    per-record durability cost (tail fsync + periodic npz seal)
+    relative to the plain JSONL baseline on the same machine.
 
     Also measures the video series (``video_*`` config keys): the
     rateless half of the ``video`` experiment on a tiny generated
@@ -365,11 +366,12 @@ def measure_campaigns(config: Optional[dict] = None
     slot_s = _best_of(repeats, lambda: engine_pass("slot"))
     station_seconds = n_stations * horizon
 
-    # Result-store series: identical synthesized records through each
-    # backend's writer, then a full aggregation pass off each store.
-    from repro.campaigns.checkpoint import (CampaignStore, make_record,
-                                            scan_jsonl)
-    from repro.campaigns.colstore import ColumnStore, StreamingSummary
+    # Result-store series: identical synthesized records as legacy
+    # JSONL lines and through the store's chunk-sealing writer, then
+    # a full aggregation pass off each (the legacy directory reads
+    # through the store's tail reader, one record at a time).
+    from repro.campaigns.checkpoint import RecordWriter
+    from repro.campaigns.colstore import ResultStore
 
     n_records = int(cfg.get("ingest_records", 512))
     chunk_records = int(cfg.get("ingest_chunk_records", 128))
@@ -377,27 +379,21 @@ def measure_campaigns(config: Optional[dict] = None
 
     def store_pass(columnar: bool, aggregate: bool) -> float:
         """Wall seconds to ingest (or, with ``aggregate``, to ingest
-        untimed and then aggregate) the stream on one backend."""
+        untimed and then aggregate) the stream on one write path."""
         with tempfile.TemporaryDirectory() as cache:
-            if columnar:
-                store = ColumnStore(matrix, cache_dir=cache,
-                                    chunk_records=chunk_records)
-            else:
-                store = CampaignStore(matrix, cache_dir=cache)
+            store = ResultStore(matrix, cache_dir=cache,
+                                chunk_records=chunk_records)
             store.ensure()
             start = time.perf_counter()
-            with store.writer("bench") as writer:
+            with (store.writer("bench") if columnar else RecordWriter(
+                    os.path.join(store.directory,
+                                 "results-bench.jsonl"))) as writer:
                 for record in stream:
                     writer.append(record)
             if not aggregate:
                 return time.perf_counter() - start
             start = time.perf_counter()
-            if columnar:
-                summary = store.stream_aggregates()
-            else:
-                summary = StreamingSummary()
-                for record in scan_jsonl(store.directory)[0].values():
-                    summary.update(record["metrics"])
+            summary = store.stream_aggregates()
             if summary.count != n_records:
                 raise RuntimeError(
                     f"benchmark store incomplete: {summary.count}/"
@@ -412,9 +408,9 @@ def measure_campaigns(config: Optional[dict] = None
                    for _ in range(max(repeats, 1)))
 
     store_pass(True, False)                     # warm lazy imports
-    # Ingest is fsync-per-record on both backends, so its wall time
+    # Ingest is fsync-per-record on both paths, so its wall time
     # tracks disk latency, which drifts minute to minute.  Measure
-    # the two backends back to back within each repeat and gate on
+    # the two paths back to back within each repeat and gate on
     # the median paired ratio — a slow I/O window then hits both
     # sides of one pair instead of skewing the ratio of two minima
     # taken in different windows.

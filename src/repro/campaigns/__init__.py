@@ -5,7 +5,7 @@ random-sampled axes over a registered experiment's parameter space —
 expanded into thousands of concrete scenarios, each with a
 deterministically derived seed.  The runner executes them serially or
 over a process pool, shards across machines by index, checkpoints
-every completed scenario to a resumable JSONL store layered on the
+every completed scenario to a resumable result store layered on the
 ``.repro-cache/`` directory, and streams results into tidy summary
 tables.
 
@@ -25,41 +25,37 @@ integrity on the checkpoint store — with a deterministic
 fault-injection harness (:mod:`repro.campaigns.faults`) proving the
 recovery guarantees.  See ``docs/resilience.md``.
 
-Records land in one of two interchangeable store backends — JSONL
-lines (:class:`CampaignStore`) or sealed npz column chunks behind a
-WAL tail (:class:`ColumnStore`, ``store="columnar"``) — and reads
-union both formats.  Campaign *service mode*
-(:class:`CampaignService`, ``repro campaign serve``/``submit``)
-layers a long-running asyncio submission front end with a durable
-queue on top of the same runner and stores; see ``docs/service.md``.
+Records land in one :class:`ResultStore`: each is fsynced as a line
+of a write-ahead JSONL tail, then sealed into npz column chunks that
+aggregate vectorized (:mod:`repro.campaigns.colstore`).  Campaign
+*service mode* (:class:`CampaignService`, ``repro campaign
+serve``/``submit``) layers a long-running asyncio submission front
+end with a durable queue on top of the same runner and store; see
+``docs/service.md``.
 
 The CLI mirrors this as ``repro campaign
 run/status/report/verify/chaos/serve/submit/results``; see
 ``docs/campaigns.md`` for authoring matrices.
 """
 
-from repro.campaigns.checkpoint import (CampaignStore,
-                                        CheckpointCorruptionWarning,
-                                        ResultStore)
-from repro.campaigns.colstore import ColumnStore, StreamingSummary
+from repro.campaigns.checkpoint import CheckpointCorruptionWarning
+from repro.campaigns.colstore import ResultStore, StreamingSummary
 from repro.campaigns.faults import (FaultInjectedError, FaultPlan,
                                     FaultSpec, chaos_wall)
 from repro.campaigns.matrix import (Axis, CampaignError, CampaignMatrix,
                                     CampaignScenario, RandomAxis,
                                     derive_scenario_seed)
-from repro.campaigns.runner import (STORE_BACKENDS, CampaignRunner,
-                                    CampaignStatus)
+from repro.campaigns.runner import CampaignRunner, CampaignStatus
 from repro.campaigns.service import (CampaignService, ServiceError,
                                      ServiceUnavailable)
 from repro.campaigns.stock import (campaign_names, get_campaign,
                                    list_campaigns, register_campaign)
 
 __all__ = ["Axis", "RandomAxis", "CampaignMatrix", "CampaignScenario",
-           "CampaignError", "CampaignStore", "CampaignRunner",
-           "CampaignService", "CampaignStatus",
-           "CheckpointCorruptionWarning", "ColumnStore",
+           "CampaignError", "CampaignRunner", "CampaignService",
+           "CampaignStatus", "CheckpointCorruptionWarning",
            "FaultInjectedError", "FaultPlan", "FaultSpec",
-           "ResultStore", "STORE_BACKENDS", "ServiceError",
-           "ServiceUnavailable", "StreamingSummary", "chaos_wall",
-           "derive_scenario_seed", "get_campaign", "campaign_names",
-           "list_campaigns", "register_campaign"]
+           "ResultStore", "ServiceError", "ServiceUnavailable",
+           "StreamingSummary", "chaos_wall", "derive_scenario_seed",
+           "get_campaign", "campaign_names", "list_campaigns",
+           "register_campaign"]

@@ -1,67 +1,45 @@
-"""Resumable campaign checkpoints: append-only JSONL record stores.
+"""Campaign checkpoint records and the durable JSONL log they live in.
 
-Each campaign gets a directory under ``{cache_dir}/campaigns/`` keyed
-by the matrix's content digest, holding:
+A checkpoint *record* is one completed scenario: its id, index, seed,
+canonical params and metrics, wall time, and a ``crc`` field — a
+CRC-32 of its canonical JSON minus the field itself — so bit rot,
+partial flushes and editor accidents are *detected*, not silently
+aggregated.
 
-* ``manifest.json`` — the matrix definition and scenario count.
-* ``results-*.jsonl`` — one line per completed scenario, appended and
-  flushed as each finishes; the checkpoint.  Every concurrent writer
-  (one per shard spec) appends to its own file, and readers union all
-  of them, deduplicating by scenario id — which is safe precisely
-  because scenario execution is deterministic.
-* ``columns-*.npz`` — sealed column chunks, when the campaign ran on
-  the columnar backend (:mod:`repro.campaigns.colstore`).  Readers
-  union both formats, so batch and served runs resume each other.
-* ``quarantine.jsonl`` — scenarios the supervised runner gave up on
-  after exhausting retries, with their captured tracebacks (see
-  :mod:`repro.campaigns.runner`).
-* ``summary.json`` — the tidy report (written by ``report``).
+Every durable JSONL log in the campaign engine — the result store's
+write-ahead tail (:mod:`repro.campaigns.colstore`), its
+``quarantine.jsonl`` and the service's ``queue.jsonl``
+(:mod:`repro.campaigns.service`) — is written by one appender and read
+by one line reader:
 
-A killed run loses only the scenarios whose records had not yet been
-appended — the ones in flight, plus (in pool mode) any finished in a
-worker but not yet harvested by the parent — and leaves at most one
-torn trailing line, which the loader skips; rerunning the campaign
-then recomputes exactly the scenarios whose records never made it to
-disk.  Completed-scenario records survive any
-interruption, and the eventual aggregate is byte-identical to an
-uninterrupted run because records carry only deterministic content
-(timings are stored but excluded from summaries).
-
-**Integrity**: every record carries a ``crc`` field — a CRC-32 of its
-canonical JSON minus the field itself — so bit rot, partial flushes
-and editor accidents are *detected*, not silently aggregated.
-:meth:`ResultStore.scan` classifies every damaged line (torn tail,
-invalid JSON, schema violation, CRC mismatch); the loader skips
-damaged records with a :class:`CheckpointCorruptionWarning`, which
-requeues the affected scenario on the next run instead of crashing
-it.  ``repro campaign verify`` exposes the same scan on the CLI.
-
-The store abstraction is split in two: :class:`ResultStore` holds
-everything readers need (paths, union scan across record formats,
-quarantine) and backends supply only a :meth:`ResultStore.writer`.
-:class:`CampaignStore` is the JSONL backend; the columnar backend
-lives in :mod:`repro.campaigns.colstore`.
+* :class:`RecordWriter` writes each object as one flushed, fsynced
+  line.  On open it truncates the torn trailing fragment a killed
+  writer leaves, so the fragment can neither swallow the next line
+  nor linger as interior damage.
+* :func:`read_jsonl` parses line by line and checks every object's
+  field types (:func:`require`) before a caller sees it, so a
+  damaged or hand-edited line becomes one :class:`CheckpointIssue`
+  instead of a crash.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
 import zlib
 from dataclasses import dataclass
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.api import (_canonical, _decode_metrics,
                                    _canonical_json)
 
-__all__ = ["CampaignStore", "CheckpointCorruptionWarning",
-           "CheckpointIssue", "ResultStore", "make_record",
-           "record_crc", "scan_jsonl", "write_json_atomic"]
+__all__ = ["CheckpointCorruptionWarning", "CheckpointIssue",
+           "LineRejected", "RecordWriter", "check_record",
+           "make_record", "read_jsonl", "record_crc", "require",
+           "write_json_atomic"]
 
-#: Keys every checkpoint record must carry to be loadable.
-_REQUIRED_KEYS = ("scenario_id", "index", "seed", "params", "metrics",
-                  "elapsed_s")
+#: Seeds and indices are stored in int64 chunk columns.
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 class CheckpointCorruptionWarning(UserWarning):
@@ -86,7 +64,7 @@ def write_json_atomic(path: str, payload: Any) -> None:
 def record_crc(record: Dict[str, Any]) -> str:
     """CRC-32 (8 hex chars) of a record's canonical JSON, excluding
     any ``crc`` field — the value :func:`make_record` embeds and
-    :meth:`ResultStore.scan` verifies."""
+    :func:`check_record` verifies."""
     payload = {k: v for k, v in record.items() if k != "crc"}
     return format(zlib.crc32(_canonical_json(payload).encode()),
                   "08x")
@@ -110,16 +88,15 @@ def make_record(scenario, metrics: Dict[str, float],
 
 @dataclass(frozen=True)
 class CheckpointIssue:
-    """One damaged line or chunk found by :meth:`ResultStore.scan`.
+    """One damaged line or chunk found by a scan.
 
-    ``kind`` is ``"torn"`` (unparseable *trailing* line or highest-
-    sequence column chunk — the normal artifact of a killed writer),
-    ``"json"`` (unparseable interior line), ``"chunk"`` (unreadable
-    interior column chunk), ``"schema"`` (parseable but not a
-    record), or ``"crc"`` (record whose checksum does not match its
-    content).  ``line_no`` is 1-based for JSONL lines and the 1-based
-    row number for column-chunk rows (0 when the whole chunk is
-    damaged).
+    ``kind`` is ``"torn"`` (unparseable *trailing* line — the normal
+    artifact of a killed writer), ``"json"`` (unparseable interior
+    line), ``"chunk"`` (unreadable column chunk), ``"schema"``
+    (parseable, but missing fields or holding wrong field types), or
+    ``"crc"`` (record whose checksum does not match its content).
+    ``line_no`` is 1-based for JSONL lines and the 1-based row number
+    for column-chunk rows (0 when the whole chunk is damaged).
     """
 
     path: str
@@ -128,274 +105,112 @@ class CheckpointIssue:
     detail: str = ""
 
 
-def _classify_line(line: str, is_last: bool
-                   ) -> Tuple[Optional[Dict[str, Any]], Optional[str],
-                              str]:
-    """Parse one record line into ``(record, kind, detail)``.
+class LineRejected(ValueError):
+    """A parseable line that is not a valid object; ``kind`` is the
+    :class:`CheckpointIssue` kind it becomes."""
 
-    Exactly one of ``record`` / ``kind`` is set.  CRC and schema
-    checks run on the *raw* parsed dict, before metric decoding
-    rewrites nulls into NaN (which would break re-canonicalizing
-    the bytes the writer hashed).
+    def __init__(self, detail: str, kind: str = "schema"):
+        super().__init__(detail)
+        self.kind = kind
+
+
+def require(obj: Dict[str, Any], optional: bool = False,
+            **fields: Any) -> Dict[str, Any]:
+    """Return ``obj`` when every named field holds one of its types.
+
+    Each keyword maps a field name to a type or tuple of types;
+    ``bool`` never passes for ``int``.  Raises :class:`LineRejected`
+    on a missing field (unless ``optional``) or a wrong type.
     """
+    for name, kinds in fields.items():
+        if name not in obj:
+            if optional:
+                continue
+            raise LineRejected(f"missing field {name!r}")
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        value = obj[name]
+        if not isinstance(value, kinds) or \
+                (isinstance(value, bool) and bool not in kinds):
+            raise LineRejected(
+                f"field {name!r} holds {type(value).__name__}")
+    return obj
+
+
+def check_record(obj: Dict[str, Any]) -> Dict[str, Any]:
+    """Validate one parsed checkpoint record and decode its metrics.
+
+    CRC and schema checks run on the *raw* parsed dict, before metric
+    decoding rewrites nulls into NaN (which would break
+    re-canonicalizing the bytes the writer hashed).  Records lacking
+    a ``crc`` field (pre-integrity checkpoints) still load — they
+    simply have nothing to verify against.
+    """
+    require(obj, scenario_id=str, index=int, seed=(int, type(None)),
+            params=dict, metrics=dict, elapsed_s=(int, float))
+    if obj["index"] not in _INT64 or \
+            (obj["seed"] is not None and obj["seed"] not in _INT64):
+        raise LineRejected("index or seed outside int64")
+    if "crc" in obj and obj["crc"] != record_crc(obj):
+        raise LineRejected(f"stored {obj['crc']}, computed "
+                           f"{record_crc(obj)}", kind="crc")
     try:
-        record = json.loads(line)
-    except ValueError as exc:
-        return None, ("torn" if is_last else "json"), str(exc)
-    if not isinstance(record, dict) or \
-            any(k not in record for k in _REQUIRED_KEYS) or \
-            not isinstance(record["metrics"], dict):
-        return None, "schema", "not a checkpoint record"
-    if "crc" in record and record["crc"] != record_crc(record):
-        return None, "crc", (f"stored {record['crc']}, computed "
-                             f"{record_crc(record)}")
-    try:
-        record["metrics"] = _decode_metrics(record["metrics"])
-    except (ValueError, KeyError, TypeError) as exc:
-        return None, "schema", f"undecodable metrics: {exc}"
-    return record, None, ""
+        float(obj["elapsed_s"])
+        obj["metrics"] = _decode_metrics(obj["metrics"])
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise LineRejected(f"undecodable values: {exc}") from None
+    return obj
 
 
-def _jsonl_files(directory: str) -> List[str]:
-    """The JSONL record files under a campaign directory, sorted."""
-    if not os.path.isdir(directory):
-        return []
-    return sorted(
-        os.path.join(directory, name)
-        for name in os.listdir(directory)
-        if name.startswith("results-") and name.endswith(".jsonl"))
-
-
-def scan_jsonl(directory: str
-               ) -> Tuple[Dict[str, Dict[str, Any]],
+def read_jsonl(path: str, check: Callable[[Dict[str, Any]], Any]
+               ) -> Tuple[List[Tuple[int, Any]],
                           List[CheckpointIssue]]:
-    """Read every ``results-*.jsonl`` file under ``directory``,
-    classifying damage line by line.
+    """Read one JSONL log, classifying damage line by line.
 
-    Returns ``(records, issues)``: valid records keyed by scenario id
-    (first parsed record per id wins — duplicates across files are
-    byte-identical by determinism) and one :class:`CheckpointIssue`
-    per damaged line.  Records lacking a ``crc`` field
-    (pre-integrity checkpoints) still load — they simply have nothing
-    to verify against.
+    Returns ``(items, issues)``: ``(line_no, check(obj))`` for every
+    line holding a JSON object that ``check`` accepts, and exactly
+    one :class:`CheckpointIssue` for every other non-blank line.  An
+    unparseable line is ``"torn"`` when it is the last one (a killed
+    writer's fragment) and ``"json"`` otherwise; an object ``check``
+    rejects takes the kind of the :class:`LineRejected` it raised.
+    ``line_no`` is 1-based; a missing file reads as empty.
     """
-    records: Dict[str, Dict[str, Any]] = {}
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+    except FileNotFoundError:
+        return [], []
+    occupied = [i for i, line in enumerate(lines) if line.strip()]
+    items: List[Tuple[int, Any]] = []
     issues: List[CheckpointIssue] = []
-    for path in _jsonl_files(directory):
-        with open(path) as fh:
-            lines = fh.readlines()
-        occupied = [i for i, ln in enumerate(lines) if ln.strip()]
-        for line_no in occupied:
-            record, kind, detail = _classify_line(
-                lines[line_no].strip(),
-                is_last=line_no == occupied[-1])
-            if record is not None:
-                records.setdefault(record["scenario_id"], record)
-            else:
-                issues.append(CheckpointIssue(
-                    path=path, line_no=line_no + 1, kind=kind,
-                    detail=detail))
-    return records, issues
-
-
-class ResultStore:
-    """The on-disk state of one campaign, independent of the record
-    format its writer produces.
-
-    Reading is *union* across formats: :meth:`scan` merges JSONL
-    records with sealed column chunks, so a campaign started on one
-    backend resumes seamlessly on the other and ``status``/``report``
-    never care how records landed on disk.  Subclasses supply only
-    :meth:`writer`.
-
-    Example::
-
-        store = CampaignStore(matrix, cache_dir=".repro-cache")
-        store.ensure()
-        with store.writer("0of1") as out:
-            out.append(make_record(scenario, metrics, elapsed))
-        store.completed_ids()
-    """
-
-    def __init__(self, matrix, cache_dir: str = ".repro-cache"):
-        self.matrix = matrix
-        self.directory = os.path.join(
-            cache_dir, "campaigns",
-            f"{matrix.name}-{matrix.digest()}")
-
-    @property
-    def manifest_path(self) -> str:
-        """Path of the matrix-definition manifest."""
-        return os.path.join(self.directory, "manifest.json")
-
-    @property
-    def summary_path(self) -> str:
-        """Path the tidy report is written to."""
-        return os.path.join(self.directory, "summary.json")
-
-    @property
-    def quarantine_path(self) -> str:
-        """Path of the poison-scenario quarantine JSONL."""
-        return os.path.join(self.directory, "quarantine.jsonl")
-
-    def ensure(self) -> None:
-        """Create the campaign directory and manifest if missing."""
-        os.makedirs(self.directory, exist_ok=True)
-        if not os.path.exists(self.manifest_path):
-            manifest = dict(self.matrix.to_manifest())
-            manifest["digest"] = self.matrix.digest()
-            manifest["total_scenarios"] = \
-                self.matrix.total_scenarios()
-            write_json_atomic(self.manifest_path, manifest)
-
-    # -- writing ------------------------------------------------------
-
-    def writer(self, label: str):
-        """Open the append-only record sink for one writer label.
-
-        One label (normally the shard spec, e.g. ``"2of8"``) must have
-        at most one live writer; distinct labels may append
-        concurrently from different processes or machines sharing the
-        cache directory.  Backends return their own context-manager
-        writer type.
-        """
-        raise NotImplementedError
-
-    # -- reading ------------------------------------------------------
-
-    def scan(self) -> Tuple[Dict[str, Dict[str, Any]],
-                            List[CheckpointIssue]]:
-        """Read every record in the directory — JSONL lines *and*
-        sealed column chunks — classifying damage as it goes.
-
-        Returns ``(records, issues)`` with records keyed by scenario
-        id; duplicates across files and formats keep the first parsed
-        copy (byte-identical by determinism, so the choice cannot
-        matter).  JSONL records win ties because the columnar
-        writer's tail file *is* JSONL — a record seen there is at
-        least as fresh as its sealed copy.
-        """
-        records, issues = scan_jsonl(self.directory)
-        from repro.campaigns.colstore import scan_chunks
-        chunk_records, chunk_issues = scan_chunks(self.directory)
-        for record in chunk_records:
-            records.setdefault(record["scenario_id"], record)
-        issues.extend(chunk_issues)
-        return records, issues
-
-    def load_records(self) -> Dict[str, Dict[str, Any]]:
-        """All loadable records, keyed by scenario id.
-
-        Torn trailing lines and torn trailing chunks (from a killed
-        writer) are silently dropped; corrupt interior damage (bad
-        JSON, unreadable chunk, schema, CRC) is dropped with a
-        :class:`CheckpointCorruptionWarning` — either way the
-        affected scenario is recomputed on the next run instead of
-        crashing the read.  Duplicate ids (overlapping shard specs,
-        or a record present both in a chunk and the writer tail) keep
-        the first parsed record; determinism guarantees any duplicate
-        carries identical content anyway.
-        """
-        records, issues = self.scan()
-        damaged = [i for i in issues if i.kind != "torn"]
-        if damaged:
-            heads = "; ".join(
-                f"{os.path.basename(i.path)}:{i.line_no} [{i.kind}]"
-                for i in damaged[:3])
-            warnings.warn(
-                f"{self.matrix.name}: skipped {len(damaged)} corrupt "
-                f"checkpoint record(s) ({heads}); the affected "
-                f"scenarios will be recomputed",
-                CheckpointCorruptionWarning, stacklevel=2)
-        return records
-
-    def completed_ids(self) -> set:
-        """Scenario ids that already have a checkpointed record."""
-        return set(self.load_records())
-
-    # -- quarantine ---------------------------------------------------
-
-    def append_quarantine(self, entry: Dict[str, Any]) -> None:
-        """Durably append one poison-scenario entry to
-        ``quarantine.jsonl`` (open-append-fsync-close, so entries
-        survive the same kills checkpoint records do)."""
-        self.ensure()
-        with open(self.quarantine_path, "a") as fh:
-            fh.write(_canonical_json(_canonical(entry)))
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def load_quarantine(self) -> List[Dict[str, Any]]:
-        """The quarantine entries, deduplicated and deterministically
-        ordered.
-
-        Later entries for the same scenario id win (a scenario can be
-        re-quarantined by a later run with a fresher traceback), and
-        the result is sorted by scenario index — so two runs that
-        quarantine the same scenarios list them identically regardless
-        of execution order.  Damaged lines are skipped like checkpoint
-        lines.
-        """
-        entries: Dict[str, Dict[str, Any]] = {}
-        if not os.path.exists(self.quarantine_path):
-            return []
-        with open(self.quarantine_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    sid = entry["scenario_id"]
-                    entry["index"]
-                except (ValueError, KeyError, TypeError):
-                    continue
-                if not isinstance(entry, dict):
-                    continue
-                entries[sid] = entry
-        return sorted(entries.values(), key=lambda e: e["index"])
-
-    def quarantined_ids(self) -> set:
-        """Scenario ids currently in quarantine."""
-        return {e["scenario_id"] for e in self.load_quarantine()}
-
-    def clear_quarantine(self) -> None:
-        """Drop the quarantine (a rerun will retry those scenarios)."""
+    for i in occupied:
         try:
-            os.remove(self.quarantine_path)
-        except FileNotFoundError:
-            pass
-
-
-class CampaignStore(ResultStore):
-    """The JSONL record backend: one flushed line per scenario.
-
-    This is the default backend — simplest possible durability (every
-    record is one fsynced line) at the cost of JSON-parsing every
-    record back on each scan.  Large campaigns should prefer the
-    columnar backend (:class:`repro.campaigns.colstore.ColumnStore`),
-    which the runner selects via ``store="columnar"``.
-    """
-
-    def writer(self, label: str) -> "RecordWriter":
-        """Open the append-only JSONL record file for ``label``."""
-        self.ensure()
-        path = os.path.join(self.directory,
-                            f"results-{label}.jsonl")
-        return RecordWriter(path)
+            obj = json.loads(lines[i].decode())
+        except (ValueError, RecursionError) as exc:
+            kind = "torn" if i == occupied[-1] else "json"
+            issues.append(CheckpointIssue(path, i + 1, kind, str(exc)))
+            continue
+        try:
+            if not isinstance(obj, dict):
+                raise LineRejected("not a JSON object")
+            items.append((i + 1, check(obj)))
+        except LineRejected as exc:
+            issues.append(CheckpointIssue(path, i + 1, exc.kind,
+                                          str(exc)))
+    return items, issues
 
 
 class RecordWriter:
-    """Append-and-flush JSONL writer (context manager).
+    """Append-and-fsync JSONL writer (context manager).
 
-    Records become durable one line at a time: each ``append`` writes
-    a full line and flushes, so a kill loses at most the scenario in
-    flight.  Reopening after a kill first *truncates* any torn
-    trailing line (the fragment holds an incomplete record that would
-    be skipped anyway), so it can neither swallow the next record
+    Objects become durable one line at a time: each ``append`` writes
+    a full line, flushes and fsyncs, so a kill loses at most the line
+    in flight.  Reopening after a kill first *truncates* any torn
+    trailing line (the fragment holds an incomplete object that would
+    be skipped anyway), so it can neither swallow the next line
     appended nor linger as a bogus interior line tripping corruption
-    warnings forever after.
+    warnings forever after.  A trailing line that parses — complete
+    but for its newline — is what :func:`read_jsonl` accepts, so it
+    is kept and terminated instead.
     """
 
     def __init__(self, path: str):
@@ -419,7 +234,12 @@ class RecordWriter:
         with open(path, "rb+") as fh:
             data = fh.read()
             keep = data.rfind(b"\n") + 1      # 0 when no newline
-            fh.truncate(keep)
+            try:
+                json.loads(data[keep:].decode())
+            except (ValueError, RecursionError):
+                fh.truncate(keep)
+            else:
+                fh.write(b"\n")
 
     def __enter__(self) -> "RecordWriter":
         if self._ends_mid_line(self.path):
@@ -433,7 +253,7 @@ class RecordWriter:
             self._fh = None
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Write one record as a flushed JSONL line."""
+        """Write one object as a flushed, fsynced JSONL line."""
         assert self._fh is not None, "writer used outside `with`"
         self._fh.write(_canonical_json(record))
         self._fh.write("\n")

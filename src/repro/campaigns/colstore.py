@@ -1,41 +1,59 @@
-"""Columnar campaign results: sealed npz column chunks + a WAL tail.
+"""The campaign result store: sealed npz column chunks behind a WAL tail.
 
-Per-scenario JSONL is the right durability story but the wrong read
-story at scale: summarizing a million-scenario campaign means a
-million ``json.loads`` calls.  This module keeps the durability and
-fixes the reads by storing results as **column chunks** —
-``columns-{label}-{seq:08d}.npz`` files holding one numpy column per
-record field (ids, indices, seeds, params JSON, elapsed, CRCs) plus a
-dense ``(n_metrics, n_rows)`` value matrix with a presence mask — so
-aggregation is a handful of vectorized reductions per chunk instead
-of per-record parsing.
+Each campaign gets a directory under ``{cache_dir}/campaigns/`` keyed
+by the matrix's content digest, holding:
 
-**Durability model (the WAL tail).**  Sealing a chunk only at a row
-threshold would make a kill lose every buffered record, which is
-*worse* than JSONL.  So the writer is a hybrid: every ``append`` also
-writes the record as a flushed line to the backend's ordinary JSONL
-tail file (``results-{label}.jsonl`` — byte-identical format to
-:class:`repro.campaigns.checkpoint.RecordWriter`'s), and once
-``chunk_records`` rows have accumulated they are sealed into an
-atomically-renamed npz chunk and the tail is truncated.  A kill at
-any instant therefore loses at most the record in flight:
+* ``manifest.json`` — the matrix definition and scenario count.
+* ``results-{label}.jsonl`` — each writer's write-ahead tail: one
+  fsynced checkpoint line per completed scenario not yet sealed.
+  One label (normally the shard spec, e.g. ``2of8``) has at most one
+  live writer; distinct labels may append concurrently from
+  different processes or machines sharing the cache directory.
+* ``columns-{label}-{seq:08d}.npz`` — sealed column chunks: one numpy
+  column per record field (ids, indices, seeds, params JSON, elapsed,
+  CRCs) plus a dense ``(n_metrics, n_rows)`` value matrix with a
+  presence mask, so aggregation is a handful of vectorized
+  reductions per chunk instead of one ``json.loads`` per record.
+* ``quarantine.jsonl`` — scenarios the supervised runner gave up on
+  after exhausting retries, with their captured tracebacks (see
+  :mod:`repro.campaigns.runner`).
+* ``summary.json`` — the tidy report (written by ``report``).
 
-* before a seal — the records live in the tail, which the union scan
-  (:meth:`repro.campaigns.checkpoint.ResultStore.scan`) reads like
-  any JSONL checkpoint;
+**Durability (the WAL tail).**  Every ``append`` first writes the
+record as a tail line through
+:class:`repro.campaigns.checkpoint.RecordWriter`; once
+``chunk_records`` rows have accumulated, and when the writer closes,
+they are sealed into an atomically-renamed chunk and the tail is
+truncated.  A kill at any instant therefore loses at most the record
+in flight:
+
+* before a seal — the records live in the tail, which
+  :meth:`ResultStore.scan` reads line by line;
 * between seal and tail truncation — the records exist twice; the
   scan deduplicates by scenario id, which determinism makes safe;
 * mid-seal — the ``os.replace`` never published the chunk, and the
   tail still holds everything.
 
-**Integrity.**  Rows carry the same ``crc`` the JSONL format does
-(over the record's canonical JSON), recomputed from the decoded
-columns on load — so a bit flipped inside a chunk is detected per
-row when the chunk still reads, and an unreadable chunk is
-classified whole: the highest-sequence chunk per label is ``torn``
-(the kill artifact — silently recomputed) and interior chunks are
-``chunk`` (corruption — warned about, then recomputed), mirroring
-the torn/interior split of JSONL lines.
+The next writer on a label first seals the valid records its tail
+holds, so the tail never accumulates across generations.  A directory
+holding only JSONL record files (written before chunks existed) reads
+through the same tail reader, and the first writer that resumes it
+seals them: no migration step.  Rerunning a campaign recomputes
+exactly the scenarios whose records never reached disk, and the
+summary is byte-identical to an uninterrupted run's, because records
+carry only deterministic content (timings are stored but excluded
+from summaries).
+
+**Integrity.**  Rows carry the record's ``crc``, recomputed from the
+decoded columns on load, so a changed value inside a readable chunk
+is caught per row (``crc``).  A chunk appears only after fsync plus
+atomic rename, so no kill leaves an unreadable one: every chunk that
+fails to load is damage (``chunk``).  :meth:`ResultStore.load_records`
+skips damaged lines, rows and chunks with a
+:class:`repro.campaigns.checkpoint.CheckpointCorruptionWarning` — the
+torn trailing tail line a kill leaves is skipped silently — and the
+affected scenarios are recomputed on the next run.  ``repro campaign
+verify`` exposes the same scan on the CLI.
 
 **Streaming aggregation.**  :class:`StreamingSummary` folds metric
 sums incrementally — vectorized over sealed chunks, per-record over
@@ -48,20 +66,25 @@ canonical scenario order so resumed runs stay byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+import warnings
+from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.campaigns.checkpoint import (CheckpointIssue, ResultStore,
-                                        record_crc, scan_jsonl)
+from repro.campaigns.checkpoint import (CheckpointCorruptionWarning,
+                                        CheckpointIssue, RecordWriter,
+                                        check_record, read_jsonl,
+                                        record_crc, require,
+                                        write_json_atomic)
 from repro.experiments.api import _canonical_json, _decode_metrics
 
-__all__ = ["ColumnStore", "ColumnChunkWriter", "StreamingSummary",
-           "CHUNK_SCHEMA", "DEFAULT_CHUNK_RECORDS", "chunk_paths",
-           "read_chunk", "scan_chunks", "write_chunk"]
+__all__ = ["CHUNK_SCHEMA", "ColumnChunkWriter", "DEFAULT_CHUNK_RECORDS",
+           "ResultStore", "StreamingSummary", "chunk_paths",
+           "read_chunk", "scan_chunks", "tail_paths", "write_chunk"]
 
 #: Format marker embedded in every chunk file.
 CHUNK_SCHEMA = "repro-colstore/1"
@@ -78,6 +101,20 @@ _CHUNK_KEYS = ("schema", "scenario_id", "index", "seed",
 
 _CHUNK_RE = re.compile(
     r"^columns-(?P<label>.+)-(?P<seq>\d{8})\.npz$")
+
+#: Fields a quarantine entry must hold for ``load_quarantine``.
+_check_quarantine = functools.partial(require, scenario_id=str,
+                                      index=int)
+
+
+def tail_paths(directory: str) -> List[str]:
+    """JSONL record files (WAL tails) under ``directory``, sorted."""
+    if not os.path.isdir(directory):
+        return []
+    return sorted(
+        os.path.join(directory, name)
+        for name in os.listdir(directory)
+        if name.startswith("results-") and name.endswith(".jsonl"))
 
 
 def chunk_paths(directory: str) -> List[str]:
@@ -168,24 +205,24 @@ def _chunk_rows(data) -> Iterator[Dict[str, Any]]:
     """Reconstruct checkpoint records from loaded chunk arrays.
 
     Metrics come back *decoded* (NaN/inf floats), matching what
-    :func:`repro.campaigns.checkpoint.scan_jsonl` returns.
+    :func:`repro.campaigns.checkpoint.check_record` returns.
     """
-    names = [str(n) for n in data["metric_names"]]
-    values = data["metric_values"]
-    present = data["metric_present"]
-    seeds = data["seed"]
-    seed_present = data["seed_present"]
-    for j in range(len(data["scenario_id"])):
+    # An npz member is read and parsed again on every ``data[key]``.
+    col = {key: data[key] for key in _CHUNK_KEYS}
+    names = [str(n) for n in col["metric_names"]]
+    values, present = col["metric_values"], col["metric_present"]
+    for j in range(len(col["scenario_id"])):
         metrics = {names[i]: float(values[i, j])
                    for i in range(len(names)) if present[i, j]}
         yield {
-            "scenario_id": str(data["scenario_id"][j]),
-            "index": int(data["index"][j]),
-            "seed": int(seeds[j]) if seed_present[j] else None,
-            "params": json.loads(str(data["params_json"][j])),
+            "scenario_id": str(col["scenario_id"][j]),
+            "index": int(col["index"][j]),
+            "seed": int(col["seed"][j]) if col["seed_present"][j]
+            else None,
+            "params": json.loads(str(col["params_json"][j])),
             "metrics": metrics,
-            "elapsed_s": float(data["elapsed_s"][j]),
-            "crc": str(data["crc"][j]),
+            "elapsed_s": float(col["elapsed_s"][j]),
+            "crc": str(col["crc"][j]),
         }
 
 
@@ -202,23 +239,15 @@ def scan_chunks(directory: str
     """Read every sealed chunk under ``directory``, classifying
     damage.
 
-    Returns ``(records, issues)``.  An unreadable or schema-violating
-    chunk produces one whole-file issue: kind ``"torn"`` when it is
-    the highest-sequence chunk of its label (the artifact of a kill
-    mid-seal being impossible aside, a torn *final* chunk is the
-    benign case) and ``"chunk"`` otherwise.  A readable chunk is then
-    verified row by row: rows whose recomputed CRC mismatches the
-    stored one become ``"crc"`` issues and are skipped.
+    Returns ``(records, issues)``.  An unreadable chunk produces one
+    whole-file ``"chunk"`` issue and a schema-violating one a
+    ``"schema"`` issue.  A readable chunk is then verified row by
+    row: rows whose recomputed CRC mismatches the stored one become
+    ``"crc"`` issues and are skipped.
     """
     records: List[Dict[str, Any]] = []
     issues: List[CheckpointIssue] = []
-    paths = chunk_paths(directory)
-    last_of_label: Dict[str, str] = {}
-    for path in paths:
-        match = _CHUNK_RE.match(os.path.basename(path))
-        last_of_label[match.group("label")] = path
-    final_chunks = set(last_of_label.values())
-    for path in paths:
+    for path in chunk_paths(directory):
         try:
             with np.load(path, allow_pickle=False) as data:
                 missing = [k for k in _CHUNK_KEYS
@@ -236,9 +265,8 @@ def scan_chunks(directory: str
                     continue
                 rows = list(_chunk_rows(data))
         except Exception as exc:
-            kind = "torn" if path in final_chunks else "chunk"
             issues.append(CheckpointIssue(
-                path=path, line_no=0, kind=kind,
+                path=path, line_no=0, kind="chunk",
                 detail=f"unreadable chunk: {exc}"))
             continue
         for row_no, record in enumerate(rows):
@@ -309,34 +337,118 @@ class StreamingSummary:
                 for name in sorted(self._sums)}
 
 
-class ColumnStore(ResultStore):
-    """The columnar record backend: WAL-tail JSONL + sealed npz
-    chunks.
+class ResultStore:
+    """The on-disk state of one campaign (see the module docstring).
 
-    Drop-in alternative to the JSONL
-    :class:`repro.campaigns.checkpoint.CampaignStore` — the runner
-    selects it via ``store="columnar"`` — with identical durability
-    per record and vectorized aggregation over sealed chunks.
-    Reading needs no mode switch at all: the base class's union scan
-    already merges both formats.
+    ``chunk_records`` is the number of rows the writer seals per
+    chunk.
+
+    Example::
+
+        store = ResultStore(matrix, cache_dir=".repro-cache")
+        with store.writer("0of1") as out:
+            out.append(make_record(scenario, metrics, elapsed))
+        store.completed_ids()
     """
 
     def __init__(self, matrix, cache_dir: str = ".repro-cache",
                  chunk_records: int = DEFAULT_CHUNK_RECORDS):
-        super().__init__(matrix, cache_dir=cache_dir)
         if chunk_records < 1:
             raise ValueError("chunk_records must be >= 1")
+        self.matrix = matrix
         self.chunk_records = int(chunk_records)
+        self.directory = os.path.join(
+            cache_dir, "campaigns",
+            f"{matrix.name}-{matrix.digest()}")
+
+    @property
+    def manifest_path(self) -> str:
+        """Path of the matrix-definition manifest."""
+        return os.path.join(self.directory, "manifest.json")
+
+    @property
+    def summary_path(self) -> str:
+        """Path the tidy report is written to."""
+        return os.path.join(self.directory, "summary.json")
+
+    @property
+    def quarantine_path(self) -> str:
+        """Path of the poison-scenario quarantine JSONL."""
+        return os.path.join(self.directory, "quarantine.jsonl")
+
+    def ensure(self) -> None:
+        """Create the campaign directory and manifest if missing."""
+        os.makedirs(self.directory, exist_ok=True)
+        if not os.path.exists(self.manifest_path):
+            manifest = dict(self.matrix.to_manifest())
+            manifest["digest"] = self.matrix.digest()
+            manifest["total_scenarios"] = \
+                self.matrix.total_scenarios()
+            write_json_atomic(self.manifest_path, manifest)
+
+    # -- writing ------------------------------------------------------
 
     def writer(self, label: str) -> "ColumnChunkWriter":
-        """Open the chunk-sealing writer for ``label``."""
+        """Open the chunk-sealing record writer for one label."""
         self.ensure()
         return ColumnChunkWriter(self.directory, label,
                                  chunk_records=self.chunk_records)
 
+    # -- reading ------------------------------------------------------
+
+    def scan(self) -> Tuple[Dict[str, Dict[str, Any]],
+                            List[CheckpointIssue]]:
+        """Read every record in the directory — tail lines *and*
+        sealed chunks — classifying damage as it goes.
+
+        Returns ``(records, issues)`` with records keyed by scenario
+        id; duplicates across files keep the first parsed copy
+        (byte-identical by determinism, so the choice cannot matter).
+        Tail records come first: a record seen there is at least as
+        fresh as a sealed copy of it.
+        """
+        records: List[Dict[str, Any]] = []
+        issues: List[CheckpointIssue] = []
+        for path in tail_paths(self.directory):
+            items, damage = read_jsonl(path, check_record)
+            records += [record for _line_no, record in items]
+            issues += damage
+        chunked, damage = scan_chunks(self.directory)
+        by_id: Dict[str, Dict[str, Any]] = {}
+        for record in records + chunked:
+            by_id.setdefault(record["scenario_id"], record)
+        return by_id, issues + damage
+
+    def load_records(self) -> Dict[str, Dict[str, Any]]:
+        """All loadable records, keyed by scenario id.
+
+        A torn trailing tail line (from a killed writer) is silently
+        dropped; every other damage (bad JSON, unreadable chunk,
+        schema, CRC) is dropped with a
+        :class:`CheckpointCorruptionWarning` — either way the affected
+        scenario is recomputed on the next run instead of crashing
+        the read.
+        """
+        records, issues = self.scan()
+        damaged = [i for i in issues if i.kind != "torn"]
+        if damaged:
+            heads = "; ".join(
+                f"{os.path.basename(i.path)}:{i.line_no} [{i.kind}]"
+                for i in damaged[:3])
+            warnings.warn(
+                f"{self.matrix.name}: skipped {len(damaged)} corrupt "
+                f"checkpoint record(s) ({heads}); the affected "
+                f"scenarios will be recomputed",
+                CheckpointCorruptionWarning, stacklevel=2)
+        return records
+
+    def completed_ids(self) -> set:
+        """Scenario ids that already have a checkpointed record."""
+        return set(self.load_records())
+
     def stream_aggregates(self) -> StreamingSummary:
         """Fold the whole store into a :class:`StreamingSummary`:
-        vectorized over sealed chunks, per-record over JSONL tails.
+        vectorized over sealed chunks, per-record over the tails.
         Damaged chunks and lines are skipped silently — this is the
         monitoring path; ``verify`` is the audit path."""
         summary = StreamingSummary()
@@ -349,49 +461,71 @@ class ColumnStore(ResultStore):
                                            data["metric_present"])
             except Exception:
                 continue
-        tail_records, _issues = scan_jsonl(self.directory)
-        for record in tail_records.values():
-            summary.update(record["metrics"])
+        for path in tail_paths(self.directory):
+            for _line_no, record in read_jsonl(path, check_record)[0]:
+                summary.update(record["metrics"])
         return summary
 
+    # -- quarantine ---------------------------------------------------
 
-class ColumnChunkWriter:
-    """Context-manager record sink that seals column chunks.
+    def append_quarantine(self, entry: Dict[str, Any]) -> None:
+        """Durably append one poison-scenario entry to
+        ``quarantine.jsonl``, so entries survive the same kills
+        checkpoint records do."""
+        self.ensure()
+        with RecordWriter(self.quarantine_path) as out:
+            out.append(entry)
 
-    Every ``append`` first lands in the WAL tail (one flushed,
-    fsynced JSONL line — durable immediately), then buffers; at
-    ``chunk_records`` rows the buffer seals into an atomic npz chunk
-    and the tail truncates.  On open, any records a previous
-    (killed) writer left in the tail are sealed into their own chunk
-    first, so the tail never accumulates across generations.
+    def load_quarantine(self) -> List[Dict[str, Any]]:
+        """The quarantine entries, deduplicated and deterministically
+        ordered.
+
+        Later entries for the same scenario id win (a scenario can be
+        re-quarantined by a later run with a fresher traceback), and
+        the result is sorted by scenario index — so two runs that
+        quarantine the same scenarios list them identically regardless
+        of execution order.  Damaged lines, and entries without a
+        string ``scenario_id`` and an integer ``index``, are skipped.
+        """
+        items, _issues = read_jsonl(self.quarantine_path,
+                                    _check_quarantine)
+        entries = {entry["scenario_id"]: entry for _, entry in items}
+        return sorted(entries.values(), key=lambda e: e["index"])
+
+    def quarantined_ids(self) -> set:
+        """Scenario ids currently in quarantine."""
+        return {e["scenario_id"] for e in self.load_quarantine()}
+
+    def clear_quarantine(self) -> None:
+        """Drop the quarantine (a rerun will retry those scenarios)."""
+        try:
+            os.remove(self.quarantine_path)
+        except FileNotFoundError:
+            pass
+
+
+class ColumnChunkWriter(RecordWriter):
+    """The store's record sink: a :class:`RecordWriter` on one
+    label's WAL tail that also seals column chunks.
+
+    Every ``append`` first lands in the tail (one flushed, fsynced
+    JSONL line — durable immediately), then buffers; at
+    ``chunk_records`` rows, and on close, the buffer seals into an
+    atomic npz chunk and the tail truncates.  On open, the valid
+    records a previous (killed) writer left in the tail are sealed
+    into their own chunk first; its damaged lines hold nothing
+    recoverable and go with the truncation.
     """
 
     def __init__(self, directory: str, label: str,
                  chunk_records: int = DEFAULT_CHUNK_RECORDS):
-        if chunk_records < 1:
-            raise ValueError("chunk_records must be >= 1")
+        super().__init__(os.path.join(directory,
+                                      f"results-{label}.jsonl"))
         self.directory = directory
         self.label = label
         self.chunk_records = int(chunk_records)
-        self.tail_path = os.path.join(directory,
-                                      f"results-{label}.jsonl")
         self._buffer: List[Dict[str, Any]] = []
-        self._fh = None
         self._seq = self._next_seq()
-
-    def _tail_records(self) -> List[Dict[str, Any]]:
-        """Valid records left in *this label's* tail file (damaged
-        lines skipped — they hold nothing recoverable)."""
-        from repro.campaigns.checkpoint import _classify_line
-        records: List[Dict[str, Any]] = []
-        with open(self.tail_path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        for line_no, line in enumerate(lines):
-            record, _kind, _detail = _classify_line(
-                line, is_last=line_no == len(lines) - 1)
-            if record is not None:
-                records.append(record)
-        return records
 
     def _next_seq(self) -> int:
         """First unused chunk sequence number for this label."""
@@ -403,53 +537,34 @@ class ColumnChunkWriter:
         return highest + 1
 
     def __enter__(self) -> "ColumnChunkWriter":
-        from repro.campaigns.checkpoint import RecordWriter
-        if RecordWriter._ends_mid_line(self.tail_path):
-            RecordWriter._drop_torn_tail(self.tail_path)
-        if os.path.exists(self.tail_path) and \
-                os.path.getsize(self.tail_path) > 0:
-            # A previous writer died with unsealed records: seal the
-            # survivors now.  Records already sealed *and* still in
-            # the tail (kill between seal and truncate) get sealed
-            # twice; the union scan deduplicates by scenario id.
-            leftovers = self._tail_records()
-            if leftovers:
-                self._buffer.extend(leftovers)
-                self._seal()
-            else:
-                os.truncate(self.tail_path, 0)
-        self._fh = open(self.tail_path, "a")
+        super().__enter__()
+        # Records already sealed *and* still in the tail (a kill
+        # between seal and truncate) get sealed twice; the scan
+        # deduplicates by scenario id.
+        self._buffer = [record for _line_no, record
+                        in read_jsonl(self.path, check_record)[0]]
+        self._seal()
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._buffer:
-            self._seal()
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._seal()
+        super().__exit__(*exc)
 
     def append(self, record: Dict[str, Any]) -> None:
         """Durably append one record (tail line now, chunk later)."""
-        assert self._fh is not None, "writer used outside `with`"
-        self._fh.write(_canonical_json(record))
-        self._fh.write("\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        super().append(record)
         self._buffer.append(record)
         if len(self._buffer) >= self.chunk_records:
             self._seal()
 
     def _seal(self) -> None:
-        """Seal the buffer into the next chunk, then truncate the
-        tail (its records are now durable in the chunk)."""
-        path = os.path.join(
-            self.directory,
-            f"columns-{self.label}-{self._seq:08d}.npz")
-        write_chunk(path, self._buffer)
-        self._seq += 1
-        self._buffer = []
-        os.truncate(self.tail_path, 0)
-        if self._fh is not None:
-            # The append handle survives truncation ("a" mode writes
-            # at EOF), but reposition explicitly for portability.
-            self._fh.seek(0, os.SEEK_END)
+        """Seal the buffer, if any, into the next chunk, then empty
+        the tail (its records are now durable in the chunk)."""
+        if self._buffer:
+            write_chunk(os.path.join(
+                self.directory,
+                f"columns-{self.label}-{self._seq:08d}.npz"),
+                self._buffer)
+            self._seq += 1
+            self._buffer = []
+        os.truncate(self.path, 0)

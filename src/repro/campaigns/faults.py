@@ -16,10 +16,12 @@ Two fault families:
   run normally), ``hang`` (sleep far past the supervision deadline),
   ``crash`` (``os._exit`` — the worker process dies without cleanup).
 * **Store faults** damage the checkpoint files after a run:
-  ``corrupt-record`` flips one digit inside a targeted scenario's
-  record (valid JSON, wrong CRC — exactly the corruption a per-record
-  checksum exists to catch) and ``truncate-file`` cuts a record file
-  mid-line (the torn tail a killed writer leaves).
+  ``corrupt-record`` changes one digit inside a targeted scenario's
+  record, in a tail line or a sealed chunk row (valid JSON, wrong
+  CRC — exactly the corruption a per-record checksum exists to
+  catch), and ``truncate-file`` cuts a record file short: a tail
+  mid-line (the torn tail a killed writer leaves) or a chunk in half
+  (bit rot — chunks appear by atomic rename, so a kill cannot).
 
 Everything is keyed through :func:`repro.core.mix.mix64`, so a
 :class:`FaultPlan` built from ``(seed, kinds, scenario count)`` is a
@@ -31,12 +33,15 @@ assert byte-identical recovery.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.campaigns.checkpoint import check_record, read_jsonl
+from repro.campaigns.colstore import (ResultStore, chunk_paths,
+                                      read_chunk, tail_paths,
+                                      write_chunk)
 from repro.core.mix import mix64
 
 __all__ = ["FaultSpec", "FaultPlan", "FaultInjectedError",
@@ -128,113 +133,89 @@ class FaultSpec:
             os._exit(13)
 
 
-def _record_files(directory: str) -> List[str]:
-    return sorted(
-        os.path.join(directory, name)
-        for name in (os.listdir(directory)
-                     if os.path.isdir(directory) else [])
-        if name.startswith("results-") and name.endswith(".jsonl"))
+def _flip(digit: int) -> int:
+    """The digit a corruption fault writes in place of ``digit``."""
+    return (digit + 5) % 10
 
 
-def _chunk_for_scenario(directory: str,
-                        scenario_index: int) -> Optional[str]:
-    """The sealed column chunk holding the targeted scenario's row,
-    if the campaign ran on the columnar backend."""
-    from repro.campaigns.colstore import chunk_paths, read_chunk
+def _corrupt_line(path: str, line_no: int, spec: FaultSpec
+                  ) -> Optional[str]:
+    """Flip one digit of a tail line, after its ``"metrics"`` key when
+    possible, keeping the line valid JSON."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    line = lines[line_no - 1]
+    anchor = max(line.find(b'"metrics"'), 0)
+    digits = [i for i in range(anchor, len(line))
+              if 0x30 <= line[i] <= 0x39]
+    if not digits:
+        return None
+    pick = digits[mix64(spec.seed, spec.scenario_index) % len(digits)]
+    lines[line_no - 1] = line[:pick] \
+        + bytes([0x30 + _flip(line[pick] - 0x30)]) + line[pick + 1:]
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    return (f"corrupt-record: flipped byte {pick} of scenario "
+            f"#{spec.scenario_index} in {os.path.basename(path)}")
+
+
+def _corrupt_row(path: str, rows: List[dict], row: dict,
+                 spec: FaultSpec) -> Optional[str]:
+    """Flip one digit of one of a chunk row's metric values, then
+    reseal the chunk with the row's stored (now stale) CRC."""
+    spots = [(name, i) for name, value in sorted(row["metrics"].items())
+             for i, char in enumerate(repr(value)) if char.isdigit()]
+    if not spots:
+        return None
+    name, pick = spots[mix64(spec.seed, spec.scenario_index)
+                       % len(spots)]
+    text = repr(row["metrics"][name])
+    row["metrics"][name] = float(
+        text[:pick] + str(_flip(int(text[pick]))) + text[pick + 1:])
+    write_chunk(path, rows)
+    return (f"corrupt-record: flipped a digit of metric {name!r} of "
+            f"scenario #{spec.scenario_index} in "
+            f"{os.path.basename(path)}")
+
+
+def _corrupt_record(directory: str, spec: FaultSpec) -> str:
+    """Change one digit in the targeted scenario's record, leaving
+    its stored CRC behind — the corruption only that CRC can catch.
+
+    A tail line keeps valid JSON; a sealed chunk row gets one digit of
+    a metric value changed and its chunk resealed.  Returns a
+    description of what was (or was not) done.
+    """
+    for path in tail_paths(directory):
+        for line_no, record in read_jsonl(path, check_record)[0]:
+            if record["index"] == spec.scenario_index:
+                note = _corrupt_line(path, line_no, spec)
+                if note is not None:
+                    return note
     for path in chunk_paths(directory):
         try:
             rows = read_chunk(path)
         except Exception:
-            continue
-        if any(r["index"] == scenario_index for r in rows):
-            return path
-    return None
-
-
-def _flip_chunk_byte(path: str, spec: FaultSpec) -> str:
-    """Flip one deterministic byte inside a chunk file's body.
-
-    Chunk rows are compressed, so a single flipped byte makes the
-    whole chunk unreadable — the chunk-granularity analogue of a
-    corrupted record line, caught by the scan's whole-file
-    classification and recomputed on resume.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    # Land past the zip header region so the damage hits row data.
-    lo = max(len(data) // 4, 1)
-    pick = lo + mix64(spec.seed, spec.scenario_index) \
-        % max(len(data) - lo, 1)
-    pick = min(pick, len(data) - 1)
-    flipped = data[:pick] + bytes([data[pick] ^ 0xFF]) \
-        + data[pick + 1:]
-    with open(path, "wb") as fh:
-        fh.write(flipped)
-    return (f"corrupt-record: flipped byte {pick} of chunk "
-            f"{os.path.basename(path)} (holds scenario "
-            f"#{spec.scenario_index})")
-
-
-def _corrupt_record(directory: str, spec: FaultSpec) -> str:
-    """Flip one digit in the targeted scenario's record line.
-
-    The flip lands after the ``"metrics"`` key when possible, keeping
-    the line valid JSON — the corruption only the per-record CRC can
-    catch.  When the record lives in a sealed column chunk instead of
-    a JSONL line, one byte of the chunk is flipped (compressed rows
-    make finer-grained damage equivalent anyway).  Returns a
-    description of what was (or was not) done.
-    """
-    for path in _record_files(directory):
-        with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        for line_no, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict) or \
-                    record.get("index") != spec.scenario_index:
-                continue
-            anchor = line.find(b'"metrics"')
-            search_from = anchor if anchor >= 0 else 0
-            digits = [i for i in range(search_from, len(line))
-                      if 0x30 <= line[i] <= 0x39]
-            if not digits:
-                continue
-            pick = digits[mix64(spec.seed, spec.scenario_index)
-                          % len(digits)]
-            old = line[pick] - 0x30
-            flipped = line[:pick] \
-                + bytes([0x30 + (old + 5) % 10]) + line[pick + 1:]
-            lines[line_no] = flipped
-            with open(path, "wb") as fh:
-                fh.write(b"\n".join(lines))
-            return (f"corrupt-record: flipped byte {pick} of scenario "
-                    f"#{spec.scenario_index} in "
-                    f"{os.path.basename(path)}")
-    chunk = _chunk_for_scenario(directory, spec.scenario_index)
-    if chunk is not None:
-        return _flip_chunk_byte(chunk, spec)
+            continue                    # already damaged
+        for row in rows:
+            if row["index"] == spec.scenario_index:
+                note = _corrupt_row(path, rows, row, spec)
+                if note is not None:
+                    return note
     return (f"corrupt-record: no record for scenario "
             f"#{spec.scenario_index} (nothing corrupted)")
 
 
 def _truncate_file(directory: str, spec: FaultSpec) -> str:
-    """Cut a record file mid-line: drop the last complete record and
-    leave half of it as a torn trailing fragment.
+    """Cut a record file short.
 
-    On a columnar store the candidates include sealed chunks; a
-    picked chunk is cut to half its bytes — the torn-chunk artifact a
-    kill mid-publish cannot actually produce (chunks appear by
-    rename) but bit rot can, and the scan must absorb either way.
+    A tail file loses its last complete record and keeps half of it
+    as a torn trailing fragment.  A sealed chunk is cut to half its
+    bytes — damage a kill cannot produce (chunks appear by rename)
+    but bit rot can, and the scan must absorb either way.
     """
-    from repro.campaigns.colstore import chunk_paths
-    files = _record_files(directory)
-    files = [p for p in files if os.path.getsize(p) > 0]
-    files += chunk_paths(directory)
+    files = [p for p in tail_paths(directory)
+             if os.path.getsize(p) > 0] + chunk_paths(directory)
     if not files:
         return "truncate-file: no record files (nothing truncated)"
     path = files[mix64(spec.seed, 1) % len(files)]
@@ -353,8 +334,7 @@ class FaultPlan:
 
 def _summary_bytes(runner, matrix) -> bytes:
     runner.report(matrix)
-    from repro.campaigns.checkpoint import CampaignStore
-    store = CampaignStore(matrix, cache_dir=runner.cache_dir)
+    store = ResultStore(matrix, cache_dir=runner.cache_dir)
     with open(store.summary_path, "rb") as fh:
         return fh.read()
 
@@ -417,8 +397,8 @@ def chaos_wall(matrix, kinds: Optional[Iterable[str]] = None,
                 retry_backoff_s=retry_backoff_s, fault_plan=plan,
                 cache_dir=cache, progress=emit)
             status = faulted.run(matrix)
-            quarantined = [e["index"] for e in
-                           faulted._store(matrix).load_quarantine()]
+            quarantined = [e["index"] for e in ResultStore(
+                matrix, cache_dir=cache).load_quarantine()]
             _say(f"chaos {matrix.name}: {kind} run left "
                  f"{status.completed}/{status.total} complete, "
                  f"{status.quarantined} quarantined; resuming "

@@ -6,7 +6,8 @@ independent invocations — processes or machines sharing a cache
 directory — cover the matrix exactly).  Within a shard, scenarios that
 already have a checkpoint record are skipped; the rest run serially or
 over a process pool, and every completion is appended to the shard's
-JSONL checkpoint immediately, so progress survives any interruption.
+write-ahead tail in the result store (:mod:`repro.campaigns.colstore`)
+immediately, so progress survives any interruption.
 
 Because every scenario seeds its own RNGs from a derived seed, the
 per-scenario results are bit-identical however the campaign is
@@ -41,24 +42,15 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
 from repro.analysis.aggregate import aggregate_metrics, group_rows
-from repro.campaigns.checkpoint import (CampaignStore, ResultStore,
-                                        make_record,
-                                        write_json_atomic)
+from repro.campaigns.checkpoint import make_record, write_json_atomic
+from repro.campaigns.colstore import ResultStore
 from repro.campaigns.faults import FaultPlan, FaultSpec
 from repro.campaigns.matrix import (CampaignError, CampaignMatrix,
                                     CampaignScenario)
 from repro.core.mix import uniform01
 from repro.experiments.api import _canonical, execute_task
 
-__all__ = ["CampaignRunner", "CampaignStatus", "STORE_BACKENDS",
-           "parse_shard"]
-
-#: Record-store backends ``CampaignRunner(store=...)`` accepts:
-#: ``"jsonl"`` (one flushed line per scenario) and ``"columnar"``
-#: (WAL tail + sealed npz column chunks — see
-#: :mod:`repro.campaigns.colstore`).  Reading always unions both
-#: formats, so the choice only shapes the write path.
-STORE_BACKENDS = ("jsonl", "columnar")
+__all__ = ["CampaignRunner", "CampaignStatus", "parse_shard"]
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -160,13 +152,6 @@ class CampaignRunner:
             deterministically from the scenario id).
         fault_plan: a :class:`repro.campaigns.faults.FaultPlan` to
             inject — testing/chaos only.
-        store: record-store backend, one of :data:`STORE_BACKENDS`.
-            ``"columnar"`` writes sealed npz column chunks behind a
-            WAL tail (:mod:`repro.campaigns.colstore`); reads always
-            union both formats, so switching backends mid-campaign
-            is safe.
-        chunk_records: rows per sealed chunk for the columnar
-            backend (``None`` = the backend default).
 
     Example::
 
@@ -180,9 +165,7 @@ class CampaignRunner:
                  timeout_s: Optional[float] = None,
                  max_retries: int = 2,
                  retry_backoff_s: float = 0.05,
-                 fault_plan: Optional[FaultPlan] = None,
-                 store: str = "jsonl",
-                 chunk_records: Optional[int] = None):
+                 fault_plan: Optional[FaultPlan] = None):
         if shard[1] < 1 or not 0 <= shard[0] < shard[1]:
             raise ValueError(f"invalid shard {shard}")
         if timeout_s is not None and timeout_s <= 0:
@@ -191,10 +174,6 @@ class CampaignRunner:
             raise ValueError("max_retries must be >= 0")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if store not in STORE_BACKENDS:
-            raise ValueError(
-                f"unknown store backend {store!r}; "
-                f"known: {list(STORE_BACKENDS)}")
         self.jobs = max(int(jobs), 1)
         self.cache_dir = cache_dir
         self.shard = (int(shard[0]), int(shard[1]))
@@ -203,8 +182,6 @@ class CampaignRunner:
         self.max_retries = int(max_retries)
         self.retry_backoff_s = float(retry_backoff_s)
         self.fault_plan = fault_plan
-        self.store = store
-        self.chunk_records = chunk_records
         if fault_plan is not None and fault_plan.requires_supervision \
                 and not self._pooled:
             raise CampaignError(
@@ -218,15 +195,6 @@ class CampaignRunner:
     def _pooled(self) -> bool:
         """Whether execution goes through a supervised process pool."""
         return self.jobs > 1 or self.timeout_s is not None
-
-    def _store(self, matrix: CampaignMatrix) -> ResultStore:
-        if self.store == "columnar":
-            from repro.campaigns.colstore import ColumnStore
-            kwargs = {} if self.chunk_records is None else \
-                {"chunk_records": self.chunk_records}
-            return ColumnStore(matrix, cache_dir=self.cache_dir,
-                               **kwargs)
-        return CampaignStore(matrix, cache_dir=self.cache_dir)
 
     def _emit(self, line: str) -> None:
         if self.progress is not None:
@@ -281,7 +249,8 @@ class CampaignRunner:
 
     def status(self, matrix: CampaignMatrix) -> CampaignStatus:
         """Progress of ``matrix`` without running anything."""
-        return self._status(matrix, self._store(matrix))
+        return self._status(matrix, ResultStore(
+            matrix, cache_dir=self.cache_dir))
 
     def run(self, matrix: CampaignMatrix,
             limit: Optional[int] = None) -> CampaignStatus:
@@ -293,7 +262,7 @@ class CampaignRunner:
         how many pending scenarios this call executes — useful for
         incremental runs.  Returns the post-run status.
         """
-        store = self._store(matrix)
+        store = ResultStore(matrix, cache_dir=self.cache_dir)
         store.ensure()
         scenarios = matrix.expand()
         current = {s.scenario_id for s in scenarios}
@@ -568,7 +537,7 @@ class CampaignRunner:
         When ``write`` is true the summary JSON is also stored at
         ``store.summary_path``.
         """
-        store = self._store(matrix)
+        store = ResultStore(matrix, cache_dir=self.cache_dir)
         records = store.load_records()
         varied = matrix.varied_parameters()
         rows: List[Dict[str, Any]] = []

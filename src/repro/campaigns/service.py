@@ -6,7 +6,8 @@ localhost) accepts campaign submissions, a durable event-sourced
 queue feeds them one at a time to the existing supervised
 :class:`repro.campaigns.runner.CampaignRunner` (in a worker thread,
 which itself fans out over worker processes), and results land in
-the columnar store (:mod:`repro.campaigns.colstore`) by default.
+the same result store (:mod:`repro.campaigns.colstore`) batch runs
+use.
 
 **Durability.**  All service state lives under
 ``{cache_dir}/service/``:
@@ -17,10 +18,11 @@ the columnar store (:mod:`repro.campaigns.colstore`) by default.
   connection).
 * ``queue.jsonl`` — the submission log: one ``submit`` event per
   accepted submission and one ``state`` event per transition, each
-  line fsynced.  On restart the log is replayed; submissions without
-  a terminal state are requeued, and because scenario execution is
-  checkpointed by the store, a requeued submission resumes instead
-  of recomputing.
+  line fsynced by :class:`repro.campaigns.checkpoint.RecordWriter`.
+  On restart the log is replayed; submissions without a terminal
+  state are requeued, and because scenario execution is checkpointed
+  by the store, a requeued submission resumes instead of
+  recomputing.
 
 A SIGKILL therefore loses at most the scenarios in flight — exactly
 the batch runner's bound — and a resubmitted campaign produces a
@@ -47,13 +49,16 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 import socket
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.campaigns.checkpoint import write_json_atomic
+from repro.campaigns.checkpoint import (LineRejected, RecordWriter,
+                                        read_jsonl, require,
+                                        write_json_atomic)
 
 __all__ = ["CampaignService", "ServiceError", "ServiceUnavailable",
            "Submission", "TERMINAL_STATES", "read_endpoint",
@@ -104,6 +109,18 @@ class Submission:
                 "error": self.error}
 
 
+def _check_event(event: Dict[str, Any]) -> Dict[str, Any]:
+    """Validate the field types of one submission-log event."""
+    if event.get("event") == "submit":
+        require(event, id=str, campaign=str)
+        return require(event, optional=True, options=dict)
+    if event.get("event") == "state":
+        require(event, id=str, state=str)
+        return require(event, optional=True, completed=int, total=int,
+                       quarantined=int, error=str)
+    raise LineRejected("not a submit or state event")
+
+
 class SubmissionQueue:
     """The durable, event-sourced submission log (``queue.jsonl``).
 
@@ -111,54 +128,46 @@ class SubmissionQueue:
     record transitions.  Each line is fsynced, so the accepted-work
     set survives any kill; replaying the log rebuilds every
     submission in acceptance order, and damaged lines (the torn tail
-    a kill can leave) are skipped.
+    a kill can leave, or a line with wrong field types) are skipped.
     """
 
     def __init__(self, path: str):
         self.path = path
+        self._last_seq = 0      # highest sub-N seen or allocated
 
     def append(self, event: Dict[str, Any]) -> None:
         """Durably append one event line."""
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(event, sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        with RecordWriter(self.path) as out:
+            out.append(event)
 
     def replay(self) -> Dict[str, Submission]:
         """Rebuild submissions from the log, in acceptance order."""
         submissions: Dict[str, Submission] = {}
-        if not os.path.exists(self.path):
-            return submissions
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(event, dict):
-                    continue
-                kind = event.get("event")
-                if kind == "submit" and "id" in event:
-                    submissions[event["id"]] = Submission(
-                        id=event["id"],
-                        campaign=event.get("campaign", ""),
-                        options=dict(event.get("options") or {}))
-                elif kind == "state" and event.get("id") \
-                        in submissions:
-                    sub = submissions[event["id"]]
-                    sub.state = event.get("state", sub.state)
-                    for key in ("completed", "total", "quarantined"):
-                        if key in event:
-                            setattr(sub, key, int(event[key]))
-                    if "error" in event:
-                        sub.error = str(event["error"])
+        items, _issues = read_jsonl(self.path, _check_event)
+        for _line_no, event in items:
+            number = re.fullmatch(r"sub-([0-9]{1,18})", event["id"])
+            if number is not None:
+                self._last_seq = max(self._last_seq,
+                                     int(number.group(1)))
+            if event["event"] == "submit":
+                submissions[event["id"]] = Submission(
+                    id=event["id"], campaign=event["campaign"],
+                    options=dict(event.get("options", {})))
+            elif event["id"] in submissions:
+                sub = submissions[event["id"]]
+                sub.state = event["state"]
+                for key in ("completed", "total", "quarantined",
+                            "error"):
+                    if key in event:
+                        setattr(sub, key, event[key])
         return submissions
+
+    def next_id(self) -> str:
+        """Allocate a submission id past every id in the log, so a
+        lost ``submit`` line can never hand out a live id again."""
+        self._last_seq += 1
+        return f"sub-{self._last_seq:05d}"
 
 
 class CampaignService:
@@ -172,9 +181,6 @@ class CampaignService:
             is published in ``endpoint.json``).
         jobs/timeout_s/max_retries/retry_backoff_s: default runner
             supervision settings; per-submission options override.
-        store: default record backend (``"columnar"`` — the store
-            this service exists to feed; submissions may override).
-        chunk_records: columnar chunk size (``None`` = default).
         once: exit after the first submission reaches a terminal
             state — the CI smoke-job mode.
         emit: optional progress-line callback.
@@ -189,15 +195,8 @@ class CampaignService:
                  jobs: int = 1, timeout_s: Optional[float] = None,
                  max_retries: int = 2,
                  retry_backoff_s: float = 0.05,
-                 store: str = "columnar",
-                 chunk_records: Optional[int] = None,
                  once: bool = False,
                  emit: Optional[Callable[[str], None]] = None):
-        from repro.campaigns.runner import STORE_BACKENDS
-        if store not in STORE_BACKENDS:
-            raise ValueError(
-                f"unknown store backend {store!r}; "
-                f"known: {list(STORE_BACKENDS)}")
         self.cache_dir = cache_dir
         self.host = host
         self.port = int(port)
@@ -205,13 +204,10 @@ class CampaignService:
         self.timeout_s = timeout_s
         self.max_retries = int(max_retries)
         self.retry_backoff_s = float(retry_backoff_s)
-        self.store = store
-        self.chunk_records = chunk_records
         self.once = bool(once)
         self.emit = emit
         self.queue = SubmissionQueue(self.queue_path)
         self._submissions: Dict[str, Submission] = {}
-        self._seq = 0
         self._pending: "asyncio.Queue[Submission]" = None  # in _main
         self._stop: "asyncio.Event" = None                 # in _main
 
@@ -284,7 +280,6 @@ class CampaignService:
         records *progress*, and determinism glues them together.
         """
         self._submissions = self.queue.replay()
-        self._seq = len(self._submissions)
         for sub in self._submissions.values():
             if sub.state not in TERMINAL_STATES:
                 if sub.state != "queued":
@@ -348,7 +343,6 @@ class CampaignService:
                 kinds=(str(fault),),
                 seed=int(options.get("fault_seed", 0)),
                 hang_s=float(options.get("hang_s", 300.0)))
-        chunk = options.get("chunk_records", self.chunk_records)
         return CampaignRunner(
             jobs=int(options.get("jobs", self.jobs)),
             cache_dir=self.cache_dir,
@@ -358,8 +352,6 @@ class CampaignService:
             retry_backoff_s=float(options.get("retry_backoff_s",
                                               self.retry_backoff_s)),
             fault_plan=plan,
-            store=str(options.get("store", self.store)),
-            chunk_records=None if chunk is None else int(chunk),
             progress=self._say)
 
     def _execute(self, sub: Submission) -> Dict[str, Any]:
@@ -453,8 +445,7 @@ class CampaignService:
         options = payload.get("options") or {}
         if not isinstance(options, dict):
             return {"ok": False, "error": "options must be an object"}
-        self._seq += 1
-        sub = Submission(id=f"sub-{self._seq:05d}",
+        sub = Submission(id=self.queue.next_id(),
                          campaign=str(name), options=dict(options))
         self._submissions[sub.id] = sub
         self.queue.append({"event": "submit", "id": sub.id,
@@ -487,17 +478,15 @@ class CampaignService:
             # concurrently with the writer is safe (records are
             # immutable once visible).
             try:
+                from repro.campaigns.colstore import ResultStore
                 from repro.campaigns.stock import get_campaign
-                runner = self._runner(dict(sub.options,
-                                           fault=None))
                 matrix = get_campaign(sub.campaign)
-                store = runner._store(matrix)
-                status = runner._status(matrix, store)
+                status = self._runner({}).status(matrix)
                 response["completed"] = status.completed
                 response["total"] = status.total
-                stream = getattr(store, "stream_aggregates", None)
-                if stream is not None:
-                    response["aggregates"] = stream().aggregates()
+                response["aggregates"] = ResultStore(
+                    matrix, cache_dir=self.cache_dir
+                ).stream_aggregates().aggregates()
             except Exception:
                 pass
         return response

@@ -21,9 +21,9 @@ Commands:
 * ``campaign`` — thousand-scenario sweeps: ``campaign list`` shows the
   registered matrices, ``campaign run`` executes one (sharded via
   ``--shard I/N``, resumable from checkpoints, supervised via
-  ``--timeout``/``--retries``, record backend via ``--store
-  jsonl|columnar``; exits 0 complete / 3 partial / 4 quarantined
-  failures), ``campaign status`` reports progress, ``campaign
+  ``--timeout``/``--retries``; exits 0 complete / 3 partial / 4
+  quarantined failures), ``campaign status`` reports progress,
+  ``campaign
   report`` builds tidy summary tables, ``campaign verify`` audits
   checkpoint integrity (CRC) and the quarantine, ``campaign chaos``
   runs the deterministic fault-injection wall (docs/resilience.md).
@@ -389,7 +389,6 @@ def _cmd_campaign_run(args) -> int:
     runner = CampaignRunner(
         jobs=args.jobs, cache_dir=args.cache_dir, shard=shard,
         timeout_s=args.timeout, max_retries=args.retries,
-        store=args.store,
         progress=lambda line: print(line, flush=True))
     status = runner.run(matrix, limit=args.limit)
     print(f"{status.name}: {status.completed}/{status.total} "
@@ -409,12 +408,12 @@ def _cmd_campaign_run(args) -> int:
 
 
 def _cmd_campaign_verify(args) -> int:
-    from repro.campaigns import CampaignRunner, CampaignStore
+    from repro.campaigns import CampaignRunner, ResultStore
 
     matrix, code = _campaign_matrix(args)
     if matrix is None:
         return code
-    store = CampaignStore(matrix, cache_dir=args.cache_dir)
+    store = ResultStore(matrix, cache_dir=args.cache_dir)
     records, issues = store.scan()
     current = {s.scenario_id for s in matrix.expand()}
     valid = len(set(records) & current)
@@ -546,8 +545,7 @@ def _cmd_campaign_serve(args) -> int:
         service = CampaignService(
             cache_dir=args.cache_dir, host=args.host, port=args.port,
             jobs=args.jobs, timeout_s=args.timeout,
-            max_retries=args.retries, store=args.store,
-            chunk_records=args.chunk_records, once=args.once,
+            max_retries=args.retries, once=args.once,
             emit=lambda line: print(line, flush=True))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -569,8 +567,6 @@ def _submission_options(args) -> Dict[str, Any]:
         options["timeout_s"] = args.timeout
     if args.retries is not None:
         options["max_retries"] = args.retries
-    if args.store is not None:
-        options["store"] = args.store
     if args.limit is not None:
         options["limit"] = args.limit
     if args.fault is not None:
@@ -864,15 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
             cp.add_argument("--retries", type=int, default=2,
                             help="failed-scenario retries before "
                                  "quarantine (default 2)")
-            cp.add_argument("--store",
-                            choices=["jsonl", "columnar"],
-                            default="jsonl",
-                            help="record backend: one JSONL line "
-                                 "per scenario (default) or sealed "
-                                 "npz column chunks behind a WAL "
-                                 "tail (docs/service.md); reads "
-                                 "union both, so this only shapes "
-                                 "the write path")
         if verb == "report":
             cp.add_argument("--group-by", default=None,
                             help="comma-separated varied parameters "
@@ -917,12 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default per-scenario deadline (seconds)")
     cp.add_argument("--retries", type=int, default=2,
                     help="default retries before quarantine")
-    cp.add_argument("--store", choices=["jsonl", "columnar"],
-                    default="columnar",
-                    help="default record backend for served "
-                         "campaigns (columnar)")
-    cp.add_argument("--chunk-records", type=int, default=None,
-                    help="rows per sealed column chunk")
     cp.add_argument("--once", action="store_true",
                     help="exit after the first submission reaches "
                          "a terminal state (CI smoke mode)")
@@ -947,9 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the per-scenario deadline")
     cp.add_argument("--retries", type=int, default=None,
                     help="override retries before quarantine")
-    cp.add_argument("--store", choices=["jsonl", "columnar"],
-                    default=None,
-                    help="override the record backend")
     cp.add_argument("--limit", type=int, default=None,
                     help="run at most K pending scenarios")
     cp.add_argument("--fault", default=None,

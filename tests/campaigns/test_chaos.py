@@ -11,9 +11,8 @@ slowest tests in the campaign suite — keep the matrix tiny.
 import pytest
 
 from repro.campaigns import (CampaignError, CampaignRunner,
-                             CampaignStore,
                              CheckpointCorruptionWarning, FaultPlan,
-                             FaultSpec, chaos_wall)
+                             FaultSpec, ResultStore, chaos_wall)
 from repro.campaigns.matrix import Axis, CampaignMatrix
 
 MATRIX = CampaignMatrix(
@@ -25,7 +24,7 @@ SUPERVISED = dict(jobs=2, timeout_s=5.0, retry_backoff_s=0.001)
 
 
 def _summary(cache_dir):
-    store = CampaignStore(MATRIX, cache_dir=str(cache_dir))
+    store = ResultStore(MATRIX, cache_dir=str(cache_dir))
     with open(store.summary_path, "rb") as fh:
         return fh.read()
 
@@ -61,7 +60,7 @@ class TestExecutionFaults:
         first = _run_fault_then_resume(tmp_path, plan, reference,
                                        max_retries=1, **FAST)
         assert first.quarantined == 1 and first.failed
-        entries = CampaignStore(
+        entries = ResultStore(
             MATRIX, cache_dir=str(tmp_path)).load_quarantine()
         assert [e["index"] for e in entries] == [3]
         assert entries[0]["attempts"] == 2
@@ -108,7 +107,7 @@ class TestProcessFaults:
         first = _run_fault_then_resume(tmp_path, plan, reference,
                                        max_retries=1, **SUPERVISED)
         assert first.quarantined == 1
-        entries = CampaignStore(
+        entries = ResultStore(
             MATRIX, cache_dir=str(tmp_path)).load_quarantine()
         assert [e["index"] for e in entries] == [4]
         assert entries[0]["kind"] == "crash"
@@ -156,7 +155,7 @@ class TestDeterminism:
             cache = tmp_path / sub
             CampaignRunner(cache_dir=str(cache), fault_plan=plan,
                            max_retries=1, **FAST).run(MATRIX)
-            listings.append(CampaignStore(
+            listings.append(ResultStore(
                 MATRIX, cache_dir=str(cache)).load_quarantine())
         assert listings[0] == listings[1]
         assert [e["index"] for e in listings[0]] == [1, 4]

@@ -1,14 +1,15 @@
-"""Columnar store wall: round-trip properties, chunk recovery, WAL
-tail durability.
+"""Result store wall: round-trip properties, chunk recovery, WAL
+tail durability, legacy JSONL directories.
 
-The property tests pin the tentpole claim that the columnar backend
-is a *lossless* re-encoding of the JSONL checkpoint format: any
-record stream — NaN/±inf metrics, per-record metric sets, absent
-seeds, nested params — written through either backend reads back
-canonical-JSON identical.  The recovery tests mirror the
-torn/interior/CRC damage semantics ``test_checkpoint.py`` pins for
-JSONL lines, applied to sealed npz chunks, and the WAL-tail tests
-pin the kill windows the module docstring enumerates.
+The property tests pin that column chunks are a *lossless*
+re-encoding of the JSONL checkpoint format: any record stream —
+NaN/±inf metrics, per-record metric sets, absent seeds, nested
+params — written as legacy JSONL lines or through the store's
+chunk-sealing writer reads back canonical-JSON identical.  The
+recovery tests pin the damage verdicts for sealed npz chunks, the
+WAL-tail tests pin the kill windows the module docstring enumerates,
+and the parity tests pin that directories holding only legacy JSONL
+record files report and resume byte-identically.
 """
 
 import json
@@ -19,14 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.campaigns.checkpoint import (CampaignStore,
-                                        CheckpointCorruptionWarning,
-                                        make_record, record_crc,
-                                        scan_jsonl)
-from repro.campaigns.colstore import (ColumnChunkWriter, ColumnStore,
-                                      StreamingSummary, chunk_paths,
-                                      read_chunk, scan_chunks,
-                                      write_chunk)
+from repro.campaigns.checkpoint import (CheckpointCorruptionWarning,
+                                        RecordWriter, check_record,
+                                        make_record, read_jsonl,
+                                        record_crc)
+from repro.campaigns.colstore import (ResultStore, StreamingSummary,
+                                      chunk_paths, read_chunk,
+                                      scan_chunks, write_chunk)
 from repro.campaigns.matrix import Axis, CampaignMatrix
 from repro.campaigns.runner import CampaignRunner
 from repro.experiments.api import _canonical_json
@@ -42,6 +42,16 @@ def _record(i, metrics, seed=7, params=None):
         scenario_id=f"col-{i:04d}", index=i, seed=seed,
         params=params if params is not None else {"x": i})
     return make_record(scenario, metrics, elapsed_s=0.01 * (i + 1))
+
+
+def _write_legacy(store, label, records):
+    """Write ``records`` as a legacy JSONL record file (the format of
+    stores that predate column chunks)."""
+    store.ensure()
+    with RecordWriter(os.path.join(store.directory,
+                                   f"results-{label}.jsonl")) as out:
+        for record in records:
+            out.append(record)
 
 
 def _canonical_records(records):
@@ -90,18 +100,18 @@ class TestRoundTripProperties:
            chunk_records=st.integers(1, 4))
     def test_backends_read_back_identically(self, rows, chunk_records,
                                             tmp_path_factory):
-        """The same stream through RecordWriter and ColumnChunkWriter
-        scans back canonical-JSON identical (JSONL <-> columnar)."""
+        """The same stream as legacy JSONL lines and through the
+        chunk-sealing writer scans back canonical-JSON identical."""
         tmp = tmp_path_factory.mktemp("parity")
         records = [_record(i, m, seed=s, params=p)
                    for i, (m, s, p) in enumerate(rows)]
-        jsonl = CampaignStore(_matrix(), cache_dir=str(tmp / "j"))
-        col = ColumnStore(_matrix(), cache_dir=str(tmp / "c"),
+        jsonl = ResultStore(_matrix(), cache_dir=str(tmp / "j"))
+        col = ResultStore(_matrix(), cache_dir=str(tmp / "c"),
                           chunk_records=chunk_records)
-        for store in (jsonl, col):
-            with store.writer("0of1") as out:
-                for record in records:
-                    out.append(record)
+        _write_legacy(jsonl, "0of1", records)
+        with col.writer("0of1") as out:
+            for record in records:
+                out.append(record)
         jsonl_records, jsonl_issues = jsonl.scan()
         col_records, col_issues = col.scan()
         assert jsonl_issues == [] and col_issues == []
@@ -115,7 +125,7 @@ class TestChunkBoundaries:
         (1, 1), (5, 1), (6, 3), (7, 3), (2, 64)])
     def test_seal_counts_and_empty_tail(self, tmp_path, n,
                                         chunk_records):
-        store = ColumnStore(_matrix(), cache_dir=str(tmp_path),
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path),
                             chunk_records=chunk_records)
         with store.writer("0of1") as out:
             for i in range(n):
@@ -127,7 +137,7 @@ class TestChunkBoundaries:
         assert len(store.load_records()) == n
 
     def test_mid_stream_tail_holds_partial_chunk(self, tmp_path):
-        store = ColumnStore(_matrix(), cache_dir=str(tmp_path),
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path),
                             chunk_records=3)
         writer = store.writer("0of1")
         writer.__enter__()
@@ -135,14 +145,14 @@ class TestChunkBoundaries:
             writer.append(_record(i, {"m": float(i)}))
         # 3 sealed + 2 in the WAL tail, visible before any close.
         assert len(chunk_paths(store.directory)) == 1
-        tail_records, _ = scan_jsonl(store.directory)
+        tail_records, _ = read_jsonl(writer.path, check_record)
         assert len(tail_records) == 2
         assert len(store.load_records()) == 5
         writer.__exit__(None, None, None)
 
     def test_chunk_records_validated(self, tmp_path):
         with pytest.raises(ValueError, match="chunk_records"):
-            ColumnStore(_matrix(), cache_dir=str(tmp_path),
+            ResultStore(_matrix(), cache_dir=str(tmp_path),
                         chunk_records=0)
         with pytest.raises(ValueError, match="cannot seal"):
             write_chunk(str(tmp_path / "columns-x-00000000.npz"), [])
@@ -152,7 +162,7 @@ class TestWalTailDurability:
     """The three kill windows from the colstore docstring."""
 
     def test_kill_before_seal_keeps_tail_records(self, tmp_path):
-        store = ColumnStore(_matrix(), cache_dir=str(tmp_path),
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path),
                             chunk_records=64)
         writer = store.writer("0of1")
         writer.__enter__()
@@ -166,7 +176,7 @@ class TestWalTailDurability:
         assert issues == [] and len(records) == 3
 
     def test_reopen_seals_leftover_tail(self, tmp_path):
-        store = ColumnStore(_matrix(), cache_dir=str(tmp_path),
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path),
                             chunk_records=64)
         writer = store.writer("0of1")
         writer.__enter__()
@@ -181,7 +191,7 @@ class TestWalTailDurability:
         assert issues == [] and len(records) == 2
 
     def test_kill_between_seal_and_truncate_dedupes(self, tmp_path):
-        store = ColumnStore(_matrix(), cache_dir=str(tmp_path),
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path),
                             chunk_records=2)
         records = [_record(i, {"m": float(i)}) for i in range(2)]
         store.ensure()
@@ -198,7 +208,7 @@ class TestWalTailDurability:
         assert _canonical_records(loaded) == _canonical_records(records)
 
     def test_torn_tail_line_dropped_on_reopen(self, tmp_path):
-        store = ColumnStore(_matrix(), cache_dir=str(tmp_path),
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path),
                             chunk_records=64)
         with store.writer("0of1") as out:
             out.append(_record(0, {"m": 1.0}))
@@ -214,7 +224,7 @@ class TestWalTailDurability:
 
 
 def _write_chunks(tmp_path, n=6, chunk_records=2):
-    store = ColumnStore(_matrix(), cache_dir=str(tmp_path),
+    store = ResultStore(_matrix(), cache_dir=str(tmp_path),
                         chunk_records=chunk_records)
     with store.writer("0of1") as out:
         for i in range(n):
@@ -231,13 +241,17 @@ class TestChunkDamage:
     """Torn/interior/CRC damage classification for sealed chunks,
     mirroring the JSONL line semantics in ``test_checkpoint.py``."""
 
-    def test_torn_final_chunk_is_silent(self, tmp_path):
+    def test_damaged_final_chunk_warns(self, tmp_path):
+        """Chunks appear only by fsync + rename, so no kill leaves an
+        unreadable one: a damaged final chunk is corruption too."""
         store, chunks = _write_chunks(tmp_path)
         _corrupt_whole(chunks[-1])
-        records = store.load_records()          # no warning expected
+        with pytest.warns(CheckpointCorruptionWarning,
+                          match=r"\[chunk\]"):
+            records = store.load_records()
         assert len(records) == 4
         _, issues = store.scan()
-        assert [i.kind for i in issues] == ["torn"]
+        assert [i.kind for i in issues] == ["chunk"]
 
     def test_interior_chunk_damage_warns(self, tmp_path):
         store, chunks = _write_chunks(tmp_path)
@@ -298,7 +312,7 @@ class TestStreamingSummary:
             == {"a": 2.0, "b": 2.0}             # NaN and digest skipped
 
     def test_stream_aggregates_covers_chunks_and_tail(self, tmp_path):
-        store = ColumnStore(_matrix(), cache_dir=str(tmp_path),
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path),
                             chunk_records=2)
         writer = store.writer("0of1")
         writer.__enter__()
@@ -311,42 +325,63 @@ class TestStreamingSummary:
 
 
 class TestBackendParity:
+    """Directories written before chunks existed hold only JSONL
+    record files; they report and resume through the tail reader."""
+
+    def _legacy_copy(self, matrix, source, target, keep=None):
+        """Rewrite ``source``'s records as a legacy JSONL directory."""
+        records = ResultStore(matrix, cache_dir=source).load_records()
+        kept = [records[s.scenario_id] for s in matrix.expand()
+                if keep is None or s.index in keep]
+        _write_legacy(ResultStore(matrix, cache_dir=target), "0of1",
+                      kept)
+
     def test_columnar_summary_is_byte_identical_to_jsonl(self,
                                                          tmp_path):
-        """The PR's core determinism claim at runner level: the
-        committed summary is a pure function of record contents, so
-        the backend choice cannot change a byte of it."""
+        """A complete legacy JSONL directory resumes with nothing
+        recomputed and reports byte-identically to the store."""
         matrix = CampaignMatrix(
             name="parity", experiment="camp-fast",
             axes=(Axis("x", (1, 2, 3)), Axis("y", (0.5, 1.5))),
             seed=9)
+        runner = CampaignRunner(cache_dir=str(tmp_path / "c"))
+        assert runner.run(matrix).done
+        self._legacy_copy(matrix, str(tmp_path / "c"),
+                          str(tmp_path / "j"))
+        progress = []
+        legacy = CampaignRunner(cache_dir=str(tmp_path / "j"),
+                                progress=progress.append)
+        assert legacy.run(matrix).done
+        assert "0 to run" in progress[0]
         payloads = []
-        for sub, store_kind in (("j", "jsonl"), ("c", "columnar")):
-            runner = CampaignRunner(cache_dir=str(tmp_path / sub),
-                                    store=store_kind, chunk_records=2)
-            assert runner.run(matrix).done
-            runner.report(matrix)
-            store = CampaignStore(matrix,
-                                  cache_dir=str(tmp_path / sub))
-            with open(store.summary_path, "rb") as fh:
+        for sub, done in (("c", runner), ("j", legacy)):
+            done.report(matrix)
+            with open(ResultStore(matrix, cache_dir=str(tmp_path / sub))
+                      .summary_path, "rb") as fh:
                 payloads.append(fh.read())
         assert payloads[0] == payloads[1]
         assert json.loads(payloads[0])["completed"] == 6
+        assert chunk_paths(ResultStore(
+            matrix, cache_dir=str(tmp_path / "j")).directory) == []
 
     def test_jsonl_run_resumes_under_columnar_store(self, tmp_path):
-        """Switching backends mid-campaign is safe: the union scan
-        treats existing JSONL records as done work."""
+        """A partial legacy JSONL directory resumes with only the
+        missing scenarios run; the first writer seals its records."""
         matrix = _matrix()
-        first = CampaignRunner(cache_dir=str(tmp_path))
-        assert first.run(matrix, limit=2).completed == 2
+        assert CampaignRunner(cache_dir=str(tmp_path / "c")).run(
+            matrix).done
+        self._legacy_copy(matrix, str(tmp_path / "c"),
+                          str(tmp_path / "j"), keep={0, 1})
         progress = []
-        resumed = CampaignRunner(cache_dir=str(tmp_path),
-                                 store="columnar", chunk_records=2,
+        resumed = CampaignRunner(cache_dir=str(tmp_path / "j"),
                                  progress=progress.append)
         status = resumed.run(matrix)
         assert status.done
         assert "1 to run" in progress[0], \
             f"resume recomputed checkpointed work: {progress[0]!r}"
-        records, issues = ColumnStore(
-            matrix, cache_dir=str(tmp_path)).scan()
+        store = ResultStore(matrix, cache_dir=str(tmp_path / "j"))
+        records, issues = store.scan()
         assert issues == [] and len(records) == 3
+        assert len(chunk_paths(store.directory)) == 2
+        assert os.path.getsize(os.path.join(
+            store.directory, "results-0of1.jsonl")) == 0

@@ -10,7 +10,7 @@ can't diverge from the uninterrupted one) and shards composable.
 
 import pytest
 
-from repro.campaigns import CampaignRunner, CampaignStore
+from repro.campaigns import CampaignRunner, ResultStore
 from repro.campaigns.matrix import Axis, CampaignMatrix
 
 #: A real-cell matrix small enough for four full executions: 6 tiny
@@ -25,7 +25,7 @@ MATRIX = CampaignMatrix(
 
 
 def _metrics_by_id(cache_dir):
-    store = CampaignStore(MATRIX, cache_dir=str(cache_dir))
+    store = ResultStore(MATRIX, cache_dir=str(cache_dir))
     return {sid: record["metrics"]
             for sid, record in store.load_records().items()}
 
@@ -73,7 +73,7 @@ def test_frame_logs_pinned_exactly(serial_run, tmp_path):
     scenario in-process reproduces the checkpointed digest."""
     from repro.experiments.api import execute_task
 
-    store = CampaignStore(MATRIX, cache_dir=str(serial_run))
+    store = ResultStore(MATRIX, cache_dir=str(serial_run))
     scenario = MATRIX.expand()[0]
     record = store.load_records()[scenario.scenario_id]
     fresh = execute_task(scenario.experiment, scenario.module,

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.campaigns.checkpoint import CampaignStore, make_record
+from repro.campaigns.checkpoint import RecordWriter, make_record
+from repro.campaigns.colstore import ResultStore, chunk_paths
 from repro.campaigns.faults import (EXECUTION_KINDS, FAULT_KINDS,
                                     PROCESS_KINDS, STORE_KINDS,
                                     FaultInjectedError, FaultPlan,
@@ -94,11 +95,16 @@ class TestFaultPlan:
             (FaultSpec("truncate-file"),)).requires_supervision
 
 
-def _store_with_records(tmp_path):
+def _store_with_records(tmp_path, sealed=False):
+    """A store holding every scenario's record: as a legacy JSONL
+    record file, or (``sealed``) in a chunk written by the store."""
     matrix = _matrix()
-    store = CampaignStore(matrix, cache_dir=str(tmp_path))
+    store = ResultStore(matrix, cache_dir=str(tmp_path))
+    store.ensure()
     scenarios = matrix.expand()
-    with store.writer("0of1") as out:
+    with (store.writer("0of1") if sealed else RecordWriter(
+            os.path.join(store.directory, "results-0of1.jsonl"))) \
+            as out:
         for s in scenarios:
             out.append(make_record(s, {"value": 1.0 + s.index}, 0.1))
     return matrix, store, scenarios
@@ -122,6 +128,32 @@ class TestStoreFaults:
         assert scenarios[1].scenario_id not in records
         assert len(records) == 2
 
+    def test_corrupt_record_in_a_chunk_breaks_one_row_crc(
+            self, tmp_path):
+        """A sealed row gets the same digit flip a line does: the
+        chunk stays readable and only that row fails its CRC."""
+        matrix, store, scenarios = _store_with_records(tmp_path,
+                                                       sealed=True)
+        plan = FaultPlan((FaultSpec("corrupt-record",
+                                    scenario_index=1, seed=7),))
+        notes = plan.apply_store_faults(store.directory)
+        assert "flipped a digit" in notes[0]
+        records, issues = store.scan()
+        assert [(i.line_no, i.kind) for i in issues] == [(2, "crc")]
+        assert scenarios[1].scenario_id not in records
+        assert len(records) == 2
+
+    def test_truncated_chunk_is_chunk_damage(self, tmp_path):
+        matrix, store, _ = _store_with_records(tmp_path, sealed=True)
+        plan = FaultPlan((FaultSpec("truncate-file", seed=3),))
+        assert "cut chunk" in plan.apply_store_faults(
+            store.directory)[0]
+        records, issues = store.scan()
+        assert records == {}
+        assert [(os.path.basename(i.path), i.kind) for i in issues] \
+            == [(os.path.basename(chunk_paths(store.directory)[0]),
+                 "chunk")]
+
     def test_corrupt_record_missing_target_is_noop(self, tmp_path):
         matrix, store, _ = _store_with_records(tmp_path)
         plan = FaultPlan((FaultSpec("corrupt-record",
@@ -141,7 +173,7 @@ class TestStoreFaults:
         assert [i.kind for i in issues] == ["torn"]
 
     def test_truncate_empty_store_is_noop(self, tmp_path):
-        store = CampaignStore(_matrix(), cache_dir=str(tmp_path))
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path))
         store.ensure()
         plan = FaultPlan((FaultSpec("truncate-file"),))
         assert "nothing truncated" in \

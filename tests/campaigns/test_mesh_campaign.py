@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.campaigns import CampaignRunner, CampaignStore
+from repro.campaigns import CampaignRunner, ResultStore
 from repro.campaigns.matrix import Axis, CampaignMatrix
 from repro.campaigns.stock import get_campaign
 
@@ -27,7 +27,7 @@ MATRIX = CampaignMatrix(
 
 
 def _metrics_by_id(cache_dir):
-    store = CampaignStore(MATRIX, cache_dir=str(cache_dir))
+    store = ResultStore(MATRIX, cache_dir=str(cache_dir))
     return {sid: record["metrics"]
             for sid, record in store.load_records().items()}
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 
-from repro.campaigns import CampaignRunner, CampaignStore, get_campaign
+from repro.campaigns import CampaignRunner, ResultStore, get_campaign
 
 _ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -37,7 +37,7 @@ def test_sigkill_then_resume_is_byte_identical(tmp_path):
 
     # Start the campaign, wait for >= 1 checkpointed scenario, then
     # SIGKILL the process with work still pending.
-    store = CampaignStore(matrix, cache_dir=str(interrupted))
+    store = ResultStore(matrix, cache_dir=str(interrupted))
     proc = _spawn_campaign(interrupted)
     try:
         deadline = time.time() + 120.0
@@ -75,8 +75,8 @@ def test_sigkill_then_resume_is_byte_identical(tmp_path):
     assert reference.run(matrix).done
     reference.report(matrix)
 
-    resumed_store = CampaignStore(matrix, cache_dir=str(interrupted))
-    pristine_store = CampaignStore(matrix, cache_dir=str(pristine))
+    resumed_store = ResultStore(matrix, cache_dir=str(interrupted))
+    pristine_store = ResultStore(matrix, cache_dir=str(pristine))
     with open(resumed_store.summary_path, "rb") as fh:
         resumed_bytes = fh.read()
     with open(pristine_store.summary_path, "rb") as fh:

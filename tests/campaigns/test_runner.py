@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.campaigns import (CampaignRunner, CampaignStore,
+from repro.campaigns import (CampaignRunner, ResultStore,
                              get_campaign)
 from repro.campaigns.matrix import Axis, CampaignMatrix
 from repro.campaigns.runner import CampaignStatus, parse_shard
@@ -83,7 +83,7 @@ class TestRunAndResume:
         status = runner.run(_matrix())
         assert status.done
         assert status.completed == status.total == 12
-        store = CampaignStore(_matrix(), cache_dir=str(tmp_path))
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path))
         assert len(store.load_records()) == 12
 
     def test_limit_then_resume(self, tmp_path):
@@ -119,7 +119,7 @@ class TestRunAndResume:
         from repro.campaigns.checkpoint import make_record
         runner = CampaignRunner(cache_dir=str(tmp_path))
         runner.run(_matrix(), limit=3)
-        store = CampaignStore(_matrix(), cache_dir=str(tmp_path))
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path))
         stale = _matrix().expand()[5]
         stale = type(stale)(index=stale.index,
                             scenario_id="feedfacefeedface",
@@ -140,7 +140,7 @@ class TestSharding:
         for index in range(3):
             CampaignRunner(cache_dir=str(tmp_path),
                            shard=(index, 3)).run(matrix)
-        store = CampaignStore(matrix, cache_dir=str(tmp_path))
+        store = ResultStore(matrix, cache_dir=str(tmp_path))
         records = store.load_records()
         assert len(records) == 12
         indices = sorted(r["index"] for r in records.values())
@@ -150,7 +150,7 @@ class TestSharding:
         matrix = _matrix()
         CampaignRunner(cache_dir=str(tmp_path),
                        shard=(1, 3)).run(matrix)
-        store = CampaignStore(matrix, cache_dir=str(tmp_path))
+        store = ResultStore(matrix, cache_dir=str(tmp_path))
         indices = {r["index"] for r in store.load_records().values()}
         assert indices == {i for i in range(12) if i % 3 == 1}
 
@@ -209,7 +209,7 @@ class TestReport:
         runner = CampaignRunner(cache_dir=str(tmp_path))
         runner.run(_matrix())
         runner.report(_matrix())
-        store = CampaignStore(_matrix(), cache_dir=str(tmp_path))
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path))
         with open(store.summary_path) as fh:
             assert json.load(fh)["completed"] == 12
 

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.campaigns import (CampaignRunner, CampaignStore,
+from repro.campaigns import (CampaignRunner, ResultStore,
                              get_campaign, register_campaign)
 from repro.campaigns.faults import FAULT_KINDS
 from repro.campaigns.matrix import Axis, CampaignMatrix
@@ -71,7 +71,7 @@ def serve_in_thread(cache_dir, **kw):
 
 
 def _summary_bytes(matrix, cache_dir):
-    store = CampaignStore(matrix, cache_dir=str(cache_dir))
+    store = ResultStore(matrix, cache_dir=str(cache_dir))
     with open(store.summary_path, "rb") as fh:
         return fh.read()
 
@@ -137,8 +137,7 @@ class TestProtocol:
 
 class TestSubmissionLifecycle:
     def test_submit_runs_to_complete_with_results(self, tmp_path):
-        with serve_in_thread(tmp_path, store="columnar",
-                             chunk_records=2) as service:
+        with serve_in_thread(tmp_path) as service:
             accepted = request(str(tmp_path), {
                 "op": "submit", "campaign": "svc-mini"})
             assert accepted["ok"] and accepted["state"] == "queued"
@@ -191,7 +190,7 @@ class TestSubmissionLifecycle:
         with serve_in_thread(tmp_path):
             broken = request(str(tmp_path), {
                 "op": "submit", "campaign": "svc-mini",
-                "options": {"store": "parquet"}})    # unknown backend
+                "options": {"jobs": "parquet"}})     # not a count
             final = wait_for_submission(str(tmp_path), broken["id"],
                                         poll_s=0.02, timeout=120.0)
             assert final["state"] == "error"
@@ -235,6 +234,76 @@ class TestDurableQueue:
         subs = queue.replay()
         assert list(subs) == ["sub-00001"]
         assert subs["sub-00001"].state == "queued"
+
+    def test_append_after_torn_tail_keeps_the_new_event(self,
+                                                        tmp_path):
+        """A killed server's fragment must not swallow the next
+        accepted submission: the next append truncates it first."""
+        path = str(tmp_path / "queue.jsonl")
+        queue = SubmissionQueue(path)
+        queue.append({"event": "submit", "id": "sub-00001",
+                      "campaign": "svc-mini", "options": {}})
+        with open(path, "a") as fh:
+            fh.write('{"event": "state", "id": "sub-00001", "sta')
+        queue.append({"event": "submit", "id": "sub-00002",
+                      "campaign": "svc-mini", "options": {}})
+        queue.append({"event": "state", "id": "sub-00002",
+                      "state": "complete", "completed": 3,
+                      "total": 3})
+        subs = SubmissionQueue(path).replay()
+        assert list(subs) == ["sub-00001", "sub-00002"]
+        assert subs["sub-00002"].state == "complete"
+
+    @pytest.mark.parametrize("bad", [
+        {"event": "submit", "id": "sub-00002", "campaign": "svc-mini",
+         "options": 5},
+        {"event": "submit", "id": ["sub-00002"],
+         "campaign": "svc-mini", "options": {}},
+        {"event": "state", "id": "sub-00001", "state": "complete",
+         "completed": "abc"},
+        {"event": "state", "id": ["sub-00001"], "state": "error"}])
+    def test_replay_skips_wrongly_typed_events(self, tmp_path, bad):
+        """Well-formed JSON with wrong field types is skipped like a
+        damaged line instead of crashing the replay (and with it the
+        server's startup)."""
+        path = str(tmp_path / "queue.jsonl")
+        queue = SubmissionQueue(path)
+        queue.append({"event": "submit", "id": "sub-00001",
+                      "campaign": "svc-mini", "options": {}})
+        queue.append(bad)
+        subs = queue.replay()
+        assert list(subs) == ["sub-00001"]
+        assert subs["sub-00001"].state == "queued"
+
+    def test_lost_submit_line_never_reuses_a_live_id(self, tmp_path):
+        """Ids are allocated past the highest id in the log, not from
+        the count of replayed submissions."""
+        path = os.path.join(str(tmp_path), "service", "queue.jsonl")
+        queue = SubmissionQueue(path)
+        queue.append({"event": "submit", "id": "sub-00001",
+                      "campaign": "svc-mini", "options": {}})
+        queue.append({"event": "submit", "id": "sub-00002",
+                      "campaign": "svc-mini", "options": {}})
+        queue.append({"event": "state", "id": "sub-00002",
+                      "state": "complete", "completed": 3,
+                      "total": 3})
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[0] = b"@@bit rot@@"           # sub-00001's submit lost
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        with serve_in_thread(tmp_path):
+            fresh = request(str(tmp_path), {"op": "submit",
+                                            "campaign": "svc-mini"})
+            assert fresh["ok"] and fresh["id"] == "sub-00003"
+            old = request(str(tmp_path), {"op": "status",
+                                          "id": "sub-00002"})
+            assert old["state"] == "complete"
+            wait_for_submission(str(tmp_path), fresh["id"],
+                                poll_s=0.02, timeout=120.0)
+        subs = SubmissionQueue(path).replay()
+        assert subs["sub-00002"].state == "complete"
+        assert subs["sub-00003"].state == "complete"
 
     def test_restart_requeues_unfinished_submission(self, tmp_path):
         # A previous server accepted work and died mid-run: the log
@@ -300,8 +369,7 @@ class TestServiceChaosWall:
                        hang_s=60.0)
         if kind == "hang":
             options["timeout_s"] = 1.0      # watchdog must fire
-        with serve_in_thread(tmp_path, store="columnar",
-                             chunk_records=2, **SUPERVISED):
+        with serve_in_thread(tmp_path, **SUPERVISED):
             faulted = request(str(tmp_path), {
                 "op": "submit", "campaign": "svc-chaos",
                 "options": options})
@@ -328,8 +396,7 @@ def _spawn_server(cache_dir, *extra):
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "serve",
-         "--cache-dir", str(cache_dir), "--chunk-records", "2",
-         *extra],
+         "--cache-dir", str(cache_dir), *extra],
         cwd=_ROOT, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
 
@@ -366,7 +433,7 @@ class TestServedKillResume:
         ``repro campaign run`` in a pristine cache."""
         matrix = get_campaign("smoke-tiny")
         served = tmp_path / "served"
-        store = CampaignStore(matrix, cache_dir=str(served))
+        store = ResultStore(matrix, cache_dir=str(served))
 
         server = _spawn_server(served)
         try:

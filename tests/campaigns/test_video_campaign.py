@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 
-from repro.campaigns import CampaignRunner, CampaignStore, get_campaign
+from repro.campaigns import CampaignRunner, ResultStore, get_campaign
 
 _ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -52,7 +52,7 @@ def test_sigkill_then_resume_matches_pristine_limited_run(tmp_path):
     interrupted = tmp_path / "interrupted"
     pristine = tmp_path / "pristine"
 
-    store = CampaignStore(matrix, cache_dir=str(interrupted))
+    store = ResultStore(matrix, cache_dir=str(interrupted))
     proc = _spawn_limited(interrupted)
     try:
         deadline = time.time() + 120.0
@@ -83,9 +83,9 @@ def test_sigkill_then_resume_matches_pristine_limited_run(tmp_path):
     reference.run(matrix, limit=_LIMIT)
 
     resumed = _metric_records(
-        CampaignStore(matrix, cache_dir=str(interrupted)))
+        ResultStore(matrix, cache_dir=str(interrupted)))
     expected = _metric_records(
-        CampaignStore(matrix, cache_dir=str(pristine)))
+        ResultStore(matrix, cache_dir=str(pristine)))
     assert len(resumed) >= _LIMIT
     assert resumed == expected, \
         "resumed video-matrix records differ from uninterrupted run"

@@ -335,14 +335,14 @@ class TestCampaignResilienceCLI:
         assert "8/8 valid records" in capsys.readouterr().out
 
     def test_verify_flags_corrupt_record(self, tmp_path, capsys):
-        from repro.campaigns import CampaignStore, get_campaign
+        from repro.campaigns import ResultStore, get_campaign
         from repro.campaigns.faults import FaultPlan, FaultSpec
 
         cache = str(tmp_path / "cache")
         assert main(["campaign", "run", "smoke-tiny",
                      "--cache-dir", cache]) == 0
-        store = CampaignStore(get_campaign("smoke-tiny"),
-                              cache_dir=cache)
+        store = ResultStore(get_campaign("smoke-tiny"),
+                            cache_dir=cache)
         plan = FaultPlan((FaultSpec("corrupt-record",
                                     scenario_index=0, seed=1),))
         plan.apply_store_faults(store.directory)
@@ -354,6 +354,29 @@ class TestCampaignResilienceCLI:
         out = capsys.readouterr().out
         assert "7/8 valid records" in out
         assert "1 corrupt line(s)" in out and "[crc]" in out
+
+    def test_verify_flags_damaged_final_chunk(self, tmp_path, capsys):
+        """Chunks appear only by fsync + rename, so an unreadable
+        final chunk is corruption, not a torn write to shrug off."""
+        import os
+
+        from repro.campaigns import (CheckpointCorruptionWarning,
+                                     ResultStore, get_campaign)
+        from repro.campaigns.colstore import chunk_paths
+
+        cache = str(tmp_path / "cache")
+        assert main(["campaign", "run", "smoke-tiny",
+                     "--cache-dir", cache]) == 0
+        final = chunk_paths(ResultStore(get_campaign("smoke-tiny"),
+                                        cache_dir=cache).directory)[-1]
+        os.truncate(final, os.path.getsize(final) // 2)
+        capsys.readouterr()
+        with pytest.warns(CheckpointCorruptionWarning):
+            assert main(["campaign", "verify", "smoke-tiny",
+                         "--cache-dir", cache]) == 1
+        out = capsys.readouterr().out
+        assert "0/8 valid records" in out and "torn" not in out
+        assert "1 corrupt line(s)" in out and "[chunk]" in out
 
     def test_chaos_rejects_unknown_fault_kind(self, capsys):
         assert main(["campaign", "chaos", "smoke-tiny",
@@ -384,17 +407,17 @@ class TestCampaignServiceCLI:
         assert not os.path.exists(cache)
 
     def test_run_with_columnar_store(self, tmp_path, capsys):
-        from repro.campaigns import CampaignStore, get_campaign
+        from repro.campaigns import ResultStore, get_campaign
         from repro.campaigns.colstore import chunk_paths
 
         cache = str(tmp_path / "cache")
         assert main(["campaign", "run", "smoke-tiny",
-                     "--cache-dir", cache, "--store", "columnar"]) == 0
-        store = CampaignStore(get_campaign("smoke-tiny"),
-                              cache_dir=cache)
+                     "--cache-dir", cache]) == 0
+        store = ResultStore(get_campaign("smoke-tiny"),
+                            cache_dir=cache)
         assert chunk_paths(store.directory), "no chunks sealed"
         capsys.readouterr()
-        # report and verify read chunks through the union scan
+        # report and verify read the sealed chunks
         assert main(["campaign", "report", "smoke-tiny",
                      "--cache-dir", cache]) == 0
         assert "8/8 scenarios summarized" in capsys.readouterr().out
@@ -437,8 +460,7 @@ class TestCampaignServiceCLI:
         @contextmanager
         def running():
             service = CampaignService(cache_dir=cache, port=0,
-                                      jobs=1, retry_backoff_s=0.001,
-                                      chunk_records=2)
+                                      jobs=1, retry_backoff_s=0.001)
             thread = threading.Thread(target=service.serve,
                                       daemon=True)
             thread.start()
@@ -511,7 +533,7 @@ class TestCampaignServiceCLI:
         thread = threading.Thread(
             target=lambda: codes.append(
                 main(["campaign", "serve", "--cache-dir", cache,
-                      "--once", "--chunk-records", "2"])))
+                      "--once"])))
         thread.start()
         import os
         import time
