@@ -163,7 +163,11 @@ def _cmd_trace(args) -> int:
 def _cmd_inspect(args) -> int:
     from repro.traces.format import LinkTrace
 
-    trace = LinkTrace.load(args.trace)
+    try:
+        trace = LinkTrace.load(args.trace)
+    except ValueError as exc:
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.trace}: {trace.n_slots} slots x "
           f"{trace.slot_duration * 1e3:.1f} ms "
           f"({trace.duration:.1f} s), detected "

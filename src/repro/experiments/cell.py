@@ -17,8 +17,11 @@ Design notes for campaign scale:
   ``trace_pool`` caps the number of distinct fading realisations per
   direction; the topology recycles them across clients
   (``recycle_traces``).  An in-process LRU cache additionally shares
-  generated traces between cells that differ only in protocol or MAC
-  seed, which is the common case inside a matrix.
+  generated traces between cells that differ only in protocol, MAC
+  seed or a channel input their channel model does not read (walking
+  reads neither ``mean_snr_db`` nor ``doppler_hz``, static ignores
+  ``doppler_hz``), which is the common case inside a matrix.  Pooled
+  traces are read-only: writing to one raises ``ValueError``.
 * **Determinism** — everything derives from ``seed`` / ``trace_seed``;
   the ``frame_log_digest`` metric is an exact content hash of every
   station's frame log, so the campaign determinism wall can assert
@@ -62,30 +65,44 @@ _TRACE_MARGIN_S = 0.1
 _DOWNLINK_SEED_OFFSET = 500_009
 
 
+def _pool_inputs(channel: str, mean_snr_db: float, doppler_hz: float
+                 ) -> Tuple[Optional[float], Optional[float]]:
+    """``(mean_snr_db, doppler_hz)`` as :func:`_trace_pool`'s key,
+    with each input ``channel`` does not read replaced by ``None``."""
+    if channel == "walking":
+        return None, None
+    if channel == "static":
+        return mean_snr_db, None
+    return mean_snr_db, doppler_hz
+
+
 @lru_cache(maxsize=64)
 def _trace_pool(channel: str, n_links: int, duration: float,
-                mean_snr_db: float, doppler_hz: float, seed: int
-                ) -> Tuple[LinkTrace, ...]:
-    """Generate (and memoize) one direction's fading traces.
+                mean_snr_db: Optional[float], doppler_hz: Optional[float],
+                seed: int) -> Tuple[LinkTrace, ...]:
+    """Generate (and memoize) one direction's read-only fading traces.
 
     Key facts that make caching safe: trace generation is a pure
-    function of these arguments, and traces are treated as read-only
-    by the simulator — so cells differing only in protocol, MAC seed
-    or carrier sensing share one realisation per direction.
+    function of these arguments, and the traces are read-only — so
+    cells differing only in protocol, MAC seed or carrier sensing
+    share one realisation per direction.  Callers pass the channel
+    inputs through :func:`_pool_inputs`, so an input the channel
+    model does not read never splits the cache.
     """
     if channel == "walking":
-        return tuple(walking_traces(n_links, duration=duration,
-                                    seed=seed))
-    if channel == "static":
-        return tuple(static_short_range_traces(
+        traces = walking_traces(n_links, duration=duration, seed=seed)
+    elif channel == "static":
+        traces = static_short_range_traces(
             n_links, duration=duration, mean_snr_db=mean_snr_db,
-            seed=seed))
-    if channel == "fading":
-        return tuple(simulation_traces(
+            seed=seed)
+    elif channel == "fading":
+        traces = simulation_traces(
             doppler_hz, n_links=n_links, duration=duration,
-            mean_snr_db=mean_snr_db, seed=seed))
-    raise ValueError(f"unknown channel model {channel!r}; "
-                     f"available: {list(CHANNEL_MODELS)}")
+            mean_snr_db=mean_snr_db, seed=seed)
+    else:
+        raise ValueError(f"unknown channel model {channel!r}; "
+                         f"available: {list(CHANNEL_MODELS)}")
+    return tuple(trace.read_only() for trace in traces)
 
 
 @register_experiment(
@@ -169,12 +186,13 @@ def run_cell(protocol: str = "softrate", channel: str = "static",
                          "the saturated 'mac' workload")
     pool = n_clients if trace_pool <= 0 else min(trace_pool, n_clients)
     trace_duration = duration + _TRACE_MARGIN_S
-    uplinks = _trace_pool(channel, pool, trace_duration, mean_snr_db,
-                          doppler_hz, trace_seed)
+    snr_key, doppler_key = _pool_inputs(channel, mean_snr_db, doppler_hz)
+    uplinks = _trace_pool(channel, pool, trace_duration, snr_key,
+                          doppler_key, trace_seed)
     factory = protocol_factory(protocol, training_trace=uplinks[0])
     if workload == "tcp":
-        downlinks = _trace_pool(channel, pool, trace_duration,
-                                mean_snr_db, doppler_hz,
+        downlinks = _trace_pool(channel, pool, trace_duration, snr_key,
+                                doppler_key,
                                 trace_seed + _DOWNLINK_SEED_OFFSET)
         result = run_tcp_uplink(
             list(uplinks), list(downlinks), factory,

@@ -29,7 +29,7 @@ from scipy.special import erfc, erfcinv
 from repro.phy.rates import Rate
 
 __all__ = ["uncoded_ber", "coded_ber", "frame_loss_probability",
-           "frame_ber"]
+           "loss_probability", "frame_ber"]
 
 
 def _q_function(x: np.ndarray) -> np.ndarray:
@@ -124,8 +124,21 @@ def frame_loss_probability(rate: Rate, symbol_snrs: np.ndarray,
     bits spread evenly over the symbols,
     ``P(loss) = 1 - prod_j (1 - b_j)^(bits_per_symbol)``.
     """
-    symbol_snrs = np.atleast_1d(symbol_snrs)
-    bits_per_symbol = n_info_bits / symbol_snrs.size
-    bers = np.clip(coded_ber(rate, symbol_snrs), 0.0, 1.0 - 1e-15)
-    log_ok = bits_per_symbol * np.sum(np.log1p(-bers))
-    return float(1.0 - np.exp(log_ok))
+    symbol_snrs = np.atleast_1d(symbol_snrs).ravel()
+    return float(loss_probability(coded_ber(rate, symbol_snrs),
+                                  n_info_bits))
+
+
+def loss_probability(symbol_bers: np.ndarray,
+                     n_info_bits: int) -> np.ndarray:
+    """:func:`frame_loss_probability` from per-symbol coded BERs.
+
+    ``symbol_bers`` holds one frame's symbols along its last axis, so
+    a ``(frames, symbols)`` array gives one probability per frame —
+    each bit-identical to the one-frame call, as the sum runs along
+    the contiguous axis.
+    """
+    bits_per_symbol = n_info_bits / symbol_bers.shape[-1]
+    bers = np.clip(symbol_bers, 0.0, 1.0 - 1e-15)
+    log_ok = bits_per_symbol * np.sum(np.log1p(-bers), axis=-1)
+    return 1.0 - np.exp(log_ok)

@@ -64,6 +64,10 @@ class LinkTrace:
             traces without it fall back to the noisy ``snr_db``
             estimate.
 
+    Every float column and ``slot_duration`` must be finite, and
+    ``loss_prob`` must lie in [0, 1]; a bad column raises
+    ``ValueError`` naming it.
+
     Lookups past the end of the trace wrap around, so a short trace can
     drive an arbitrarily long simulation (the standard trace-driven
     simulation convention).
@@ -75,8 +79,9 @@ class LinkTrace:
                  rate_names: Optional[List[str]] = None,
                  loss_prob: Optional[np.ndarray] = None,
                  true_snr_db: Optional[np.ndarray] = None):
-        if slot_duration <= 0:
-            raise ValueError("slot duration must be positive")
+        if not 0 < slot_duration < np.inf:
+            raise ValueError(f"slot_duration must be positive and "
+                             f"finite, got {slot_duration!r}")
         snr_db = np.asarray(snr_db, dtype=np.float64)
         detected = np.asarray(detected, dtype=bool)
         ber_true = np.asarray(ber_true, dtype=np.float64)
@@ -105,6 +110,11 @@ class LinkTrace:
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, "
                                  f"expected {shape}")
+        for name, arr in (("snr_db", snr_db), ("true_snr_db", true_snr_db),
+                          ("ber_true", ber_true), ("ber_est", ber_est),
+                          ("loss_prob", loss_prob)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds non-finite values")
         if np.any((loss_prob < 0) | (loss_prob > 1)):
             raise ValueError("loss probabilities must lie in [0, 1]")
         self.slot_duration = slot_duration
@@ -116,6 +126,20 @@ class LinkTrace:
         self.loss_prob = loss_prob
         self.true_snr_db = true_snr_db
         self.rate_names = rate_names or [f"rate{i}" for i in range(n_rates)]
+
+    def read_only(self) -> "LinkTrace":
+        """Make every array of this trace non-writeable; returns it.
+
+        For traces handed to many users, such as the campaign cell's
+        trace pool: a write then raises instead of changing what the
+        other users see.
+        """
+        for arr in (self.snr_db, self.detected, self.ber_true,
+                    self.ber_est, self.delivered, self.loss_prob,
+                    self.true_snr_db):
+            if arr is not None:
+                arr.flags.writeable = False
+        return self
 
     @property
     def n_rates(self) -> int:

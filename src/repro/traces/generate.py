@@ -5,11 +5,14 @@ Two generators are provided:
 
 * :func:`generate_fading_trace` — the workhorse.  Samples a shared
   Rayleigh fading realisation (optionally modulated by a mobility
-  trajectory's large-scale SNR) once per OFDM symbol, evaluates every
-  bit rate against the *same* gains through the analytic model of
+  trajectory's large-scale SNR) at ``n_symbol_samples`` points spread
+  across each frame's airtime, evaluates every bit rate against the
+  *same* gains through the analytic model of
   :mod:`repro.traces.analytic`, and synthesises the receiver-side BER
   estimate with the estimation noise measured in Fig. 7 (sub-0.1
-  orders of magnitude).
+  orders of magnitude).  One Python loop makes the random draws slot
+  by slot; everything else is evaluated on ``(slots, samples)``
+  arrays.
 
 * :func:`generate_full_phy_trace` — bit-exact: actually transmits and
   decodes a frame per (slot, rate) through
@@ -29,7 +32,7 @@ from repro.phy.backend import DETECTION_SNR_DB
 from repro.phy.rates import MODES, RATE_TABLE, OperatingMode, RateTable
 from repro.phy.snr import db_to_linear, snr_to_db
 from repro.phy.transceiver import Transceiver
-from repro.traces.analytic import coded_ber, frame_loss_probability
+from repro.traces.analytic import coded_ber, loss_probability
 from repro.traces.format import LinkTrace
 
 __all__ = ["generate_fading_trace", "generate_full_phy_trace",
@@ -54,10 +57,15 @@ _SNR_ESTIMATE_NOISE_DB = 2.0
 #: BER, and optimal-rate BERs in the measurable 1e-7..1e-4 band.
 IMPAIRMENT_SNR_CEILING_DB = 23.0
 
-#: Per-symbol effective-SNR jitter (dB): imperfect channel estimates
-#: make each symbol's demapping slightly better or worse than the true
-#: SNR implies.  Flattens the BER-vs-rate relation toward Fig. 5's.
+#: Per-sample effective-SNR jitter (dB): imperfect channel estimates
+#: make each sampled symbol's demapping slightly better or worse than
+#: the true SNR implies.  Flattens the BER-vs-rate relation toward
+#: Fig. 5's.
 IMPAIRMENT_JITTER_DB = 1.5
+
+#: Slots evaluated per array pass of :func:`generate_fading_trace`;
+#: bounds its ``(slots, samples, sinusoids)`` temporaries to a few MB.
+_SLOT_BLOCK = 256
 
 
 def generate_fading_trace(
@@ -79,22 +87,33 @@ def generate_fading_trace(
         duration: trace length in seconds.
         mean_snr_db: large-scale (fading-averaged) SNR as a function of
             time — a constant for static links, or e.g.
-            ``WalkingTrajectory.mean_snr_db`` for mobility.
+            ``WalkingTrajectory.mean_snr_db`` for mobility.  Called
+            once per slot, in slot order, at the slot start.
         doppler_hz: Doppler spread of the small-scale fading.
         slot_duration: trace granularity (5 ms like the paper).
         payload_bits: frame payload used to size frames (1400 bytes by
             default, the paper's TCP segment size).
         rates: rate table (paper's six-rate prototype set by default).
         mode: OFDM operating mode, sets the symbol time.
-        n_symbol_samples: fading samples drawn across each frame's
-            airtime (sub-sampling the symbols is exact for any Doppler
-            whose coherence time exceeds a few symbol times).
+        n_symbol_samples: fading samples taken at evenly spaced times
+            from the start to the end of each frame's airtime
+            (sub-sampling the symbols is exact for any Doppler whose
+            coherence time exceeds a few symbol times).
         snr_ceiling_db: receiver implementation error floor; the
             effective symbol SNR is ``1 / (1/snr + 1/ceiling)``.
-        snr_jitter_db: per-symbol channel-estimation jitter.
+        snr_jitter_db: per-sample channel-estimation jitter.
 
     Returns:
         A :class:`LinkTrace` with one row per rate.
+
+    The draws from ``rng`` are a contract — traces, goldens and
+    frame-log digests are pinned to them.  The fading process draws
+    its sinusoids first.  Then each slot draws the preamble SNR
+    estimate noise ``rng.normal(0, 2 dB)`` and, for each rate in table
+    order, ``rng.normal(0, snr_jitter_db, size=n_symbol_samples)``
+    (only when ``snr_jitter_db > 0``), the BER-estimate noise
+    ``rng.normal(0, 0.1)`` in decades, and the delivery uniform
+    ``rng.random()``.  No draw depends on a computed value.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -113,37 +132,60 @@ def generate_fading_trace(
     detected = np.zeros(n_slots, dtype=bool)
 
     ceiling = db_to_linear(snr_ceiling_db)
-    airtimes = [rate.airtime(n_info, mode.symbol_time, mode.n_subcarriers)
-                for rate in rates]
-    for slot in range(n_slots):
-        t0 = slot * slot_duration
-        mean_lin = db_to_linear(mean_snr_db(t0))
-        # Preamble SNR: instantaneous fade at the frame start.
-        h0 = fading.gains(np.array([t0]))[0]
-        inst_snr = mean_lin * np.abs(h0) ** 2
-        inst_snr_db = snr_to_db(inst_snr)
-        detected[slot] = inst_snr_db >= DETECTION_SNR_DB
-        true_snr_db[slot] = inst_snr_db
-        snr_db[slot] = inst_snr_db + rng.normal(0, _SNR_ESTIMATE_NOISE_DB)
+    # Sample offsets across each rate's frame airtime.
+    offsets = [np.linspace(0.0, rate.airtime(n_info, mode.symbol_time,
+                                             mode.n_subcarriers),
+                           n_symbol_samples)
+               for rate in rates]
+    for first in range(0, n_slots, _SLOT_BLOCK):
+        block = range(first, min(first + _SLOT_BLOCK, n_slots))
+        cols = slice(block.start, block.stop)
+        n = len(block)
+        # The draw loop: every random draw, in the contract's order.
+        # The estimate-noise pow stays a Python float pow, as numpy's
+        # vectorised pow rounds differently.
+        mean_lin = np.empty(n)
+        snr_noise = np.empty(n)
+        jitter = np.empty((n_rates, n, n_symbol_samples))
+        est_scale = np.empty((n_rates, n))
+        uniform = np.empty((n_rates, n))
+        for i, slot in enumerate(block):
+            mean_lin[i] = db_to_linear(mean_snr_db(slot * slot_duration))
+            snr_noise[i] = rng.normal(0, _SNR_ESTIMATE_NOISE_DB)
+            for r in range(n_rates):
+                if snr_jitter_db > 0:
+                    jitter[r, i] = rng.normal(0.0, snr_jitter_db,
+                                              size=n_symbol_samples)
+                est_scale[r, i] = \
+                    10.0 ** rng.normal(0.0, BER_ESTIMATE_NOISE_DECADES)
+                uniform[r, i] = rng.random()
+
+        t0 = np.arange(block.start, block.stop) * slot_duration
+        # Preamble SNR: instantaneous fade at each frame start.  Its
+        # power is a libm pow per slot, as for a numpy scalar; the
+        # array ``** 2`` squares, which rounds differently.
+        fade = [amp ** 2 for amp in np.abs(fading.gains(t0)).tolist()]
+        inst_snr_db = snr_to_db(mean_lin * np.array(fade))
+        detected[cols] = inst_snr_db >= DETECTION_SNR_DB
+        true_snr_db[cols] = inst_snr_db
+        snr_db[cols] = inst_snr_db + snr_noise
 
         for r, rate in enumerate(rates):
-            times = t0 + np.linspace(0.0, airtimes[r], n_symbol_samples)
-            gains = fading.gains(times)
-            symbol_snrs = mean_lin * np.abs(gains) ** 2
+            times = t0[:, None] + offsets[r]
+            gains = fading.gains(times.ravel()).reshape(times.shape)
+            symbol_snrs = mean_lin[:, None] * np.abs(gains) ** 2
             # Receiver impairments: error floor + estimation jitter.
             symbol_snrs = 1.0 / (1.0 / np.maximum(symbol_snrs, 1e-12)
                                  + 1.0 / ceiling)
             if snr_jitter_db > 0:
-                jitter = rng.normal(0.0, snr_jitter_db,
-                                    size=symbol_snrs.shape)
-                symbol_snrs = symbol_snrs * 10.0 ** (jitter / 10.0)
-            ber = float(np.mean(coded_ber(rate, symbol_snrs)))
-            loss_p = frame_loss_probability(rate, symbol_snrs, n_info)
-            ber_true[r, slot] = ber
-            noise = rng.normal(0.0, BER_ESTIMATE_NOISE_DECADES)
-            ber_est[r, slot] = min(0.5, max(1e-12, ber) * 10.0 ** noise)
-            loss_prob[r, slot] = loss_p
-            delivered[r, slot] = rng.random() >= loss_p
+                symbol_snrs = symbol_snrs * 10.0 ** (jitter[r] / 10.0)
+            symbol_bers = coded_ber(rate, symbol_snrs)
+            ber = np.mean(symbol_bers, axis=-1)
+            ber_true[r, cols] = ber
+            ber_est[r, cols] = np.minimum(
+                0.5, np.maximum(1e-12, ber) * est_scale[r])
+            loss_prob[r, cols] = loss_probability(symbol_bers, n_info)
+            delivered[r, cols] = uniform[r] >= loss_prob[r, cols]
 
     return LinkTrace(slot_duration=slot_duration, snr_db=snr_db,
                      detected=detected, ber_true=ber_true,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.experiments import cell
 from repro.experiments.api import get_experiment, run
 from repro.experiments.cell import CHANNEL_MODELS, run_cell
 
@@ -76,6 +77,65 @@ class TestCellMetrics:
         sensing = run_cell(carrier_sense_prob=1.0, **kwargs)
         hidden = run_cell(carrier_sense_prob=0.0, **kwargs)
         assert hidden["loss_rate"] > sensing["loss_rate"]
+
+
+class TestTracePool:
+    """The in-process trace pool that cells share."""
+
+    @pytest.fixture(autouse=True)
+    def cold_pool(self):
+        cell._trace_pool.cache_clear()
+        yield
+        cell._trace_pool.cache_clear()
+
+    def _misses(self):
+        return cell._trace_pool.cache_info().misses
+
+    def test_walking_cells_at_two_snrs_share_traces(self, monkeypatch):
+        """Walking reads neither the cell's SNR nor its Doppler, so a
+        second cell differing only there misses nothing and simulates
+        over the very same trace objects."""
+        seen = []
+        original = cell.run_tcp_uplink
+
+        def recording(uplinks, downlinks, *args, **kwargs):
+            seen.append(uplinks + downlinks)
+            return original(uplinks, downlinks, *args, **kwargs)
+
+        monkeypatch.setattr(cell, "run_tcp_uplink", recording)
+        run_cell(channel="walking", mean_snr_db=12.0, doppler_hz=40.0,
+                 **_FAST)
+        assert self._misses() == 2      # one per direction
+        run_cell(channel="walking", mean_snr_db=20.0, doppler_hz=400.0,
+                 **_FAST)
+        assert self._misses() == 2
+        first, second = seen
+        assert len(first) == 2
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_static_ignores_doppler_only(self):
+        run_cell(channel="static", doppler_hz=40.0, **_FAST)
+        run_cell(channel="static", doppler_hz=400.0, **_FAST)
+        assert self._misses() == 2
+        run_cell(channel="static", mean_snr_db=12.0, **_FAST)
+        assert self._misses() == 4
+
+    def test_fading_reads_both_inputs(self):
+        run_cell(channel="fading", **_FAST)
+        run_cell(channel="fading", doppler_hz=400.0, **_FAST)
+        run_cell(channel="fading", mean_snr_db=12.0, **_FAST)
+        assert self._misses() == 6
+
+    @pytest.mark.parametrize("channel", CHANNEL_MODELS)
+    def test_pooled_traces_are_read_only(self, channel):
+        traces = cell._trace_pool(channel, 2, 0.05, 16.0, 200.0, 2009)
+        for trace in traces:
+            for name in ("snr_db", "true_snr_db", "detected",
+                         "ber_true", "ber_est", "delivered",
+                         "loss_prob"):
+                array = getattr(trace, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = array[(0,) * array.ndim]
 
 
 class TestMacWorkload:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Regenerate the golden PHY, MAC and mesh regression fixtures.
+"""Regenerate the golden PHY, MAC, mesh, video and trace fixtures.
 
 The PHY goldens (``phy_ber_points.json``) pin fig07/fig08-style BER
 points at fixed seeds: small, fully deterministic Monte Carlo runs
@@ -11,7 +11,10 @@ an exact frame-log digest.  The mesh goldens (``mesh_chain.json``)
 do the same for a fixed 2-hop relay chain.  The regression test
 (``tests/test_golden_regression.py``) re-runs the same configurations
 and asserts the numbers still match within a tight tolerance, so a
-PHY *or MAC* refactor cannot silently shift the paper's curves.
+PHY *or MAC* refactor cannot silently shift the paper's curves.  The
+fading-trace pin (``fading_traces.json``, replayed by
+``tests/traces/test_generate.py``) is exact instead: it holds sha256
+hashes of every ``LinkTrace`` array and of the generator's RNG state.
 
 Run from the repository root (only needed when a change is *supposed*
 to alter PHY numerics — say so in the commit message):
@@ -25,6 +28,7 @@ config here never desynchronises the two.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -241,6 +245,143 @@ def compute_video(config):
 VIDEO_GOLDEN_PATH = os.path.join(GOLDEN_DIR, "video_qoe.json")
 
 
+#: Every argument of a direct ``generate_fading_trace`` case.
+#: ``rates`` names a table (``prototype`` is the six-rate default,
+#: ``full`` all of ``RATE_TABLE``), ``mode`` a key of ``MODES``, and
+#: ``mean_snr_db`` is a constant.
+_DIRECT_DEFAULTS = {
+    "seed": 11, "duration": 0.1, "mean_snr_db": 15.0, "doppler_hz": 40.0,
+    "slot_duration": 5e-3, "payload_bits": 11200, "rates": "prototype",
+    "mode": "simulation", "n_symbol_samples": 32,
+    "snr_ceiling_db": 23.0, "snr_jitter_db": 1.5,
+}
+
+
+def _direct(**overrides):
+    return {"kind": "direct", **_DIRECT_DEFAULTS, **overrides}
+
+
+#: The pinned fading-trace cases: the three ``repro.traces.workloads``
+#: presets at two seeds each, one full-length 10 s walking trace, and
+#: direct :func:`generate_fading_trace` calls that each move one knob
+#: off its default.
+TRACE_CASES = {
+    "walking/2009": {"kind": "walking_traces", "n_links": 2,
+                     "duration": 0.5, "seed": 2009},
+    "walking/31": {"kind": "walking_traces", "n_links": 2,
+                   "duration": 0.5, "seed": 31},
+    "walking/10s": {"kind": "walking_traces", "n_links": 1,
+                    "duration": 10.0, "seed": 2009},
+    "simulation/2009": {"kind": "simulation_traces", "doppler_hz": 400.0,
+                        "n_links": 2, "duration": 0.5,
+                        "mean_snr_db": 18.0, "seed": 2009},
+    "simulation/77": {"kind": "simulation_traces", "doppler_hz": 4000.0,
+                      "n_links": 2, "duration": 0.5, "mean_snr_db": 12.0,
+                      "seed": 77},
+    "static/2009": {"kind": "static_short_range_traces", "n_links": 2,
+                    "duration": 0.5, "mean_snr_db": 16.0, "seed": 2009},
+    "static/42": {"kind": "static_short_range_traces", "n_links": 2,
+                  "duration": 0.5, "mean_snr_db": 14.0, "seed": 42},
+    "direct/defaults": _direct(),
+    "direct/one-slot": _direct(duration=5e-3),
+    "direct/no-jitter": _direct(snr_jitter_db=0.0),
+    "direct/one-sample": _direct(n_symbol_samples=1),
+    "direct/seven-samples": _direct(n_symbol_samples=7),
+    "direct/short-payload": _direct(payload_bits=368),
+    "direct/full-rate-table": _direct(rates="full", mean_snr_db=24.0),
+    "direct/long-range": _direct(mode="long_range", doppler_hz=0.5),
+    "direct/short-range": _direct(mode="short_range"),
+    "direct/simulation-mode": _direct(mode="simulation",
+                                      doppler_hz=4000.0),
+    "direct/1ms-slots": _direct(slot_duration=1e-3, duration=0.3),
+    "direct/deep-fades": _direct(mean_snr_db=4.0, snr_ceiling_db=30.0,
+                                 duration=0.0123),
+    # Seeds whose preamble fades include a |h|^2 that libm's pow and
+    # a plain square round differently, down to the SNR columns.
+    "direct/seed-62": _direct(seed=62, duration=0.5),
+    "direct/seed-466": _direct(seed=466, duration=0.5, n_symbol_samples=7),
+}
+
+
+#: The ``LinkTrace`` arrays the trace pin hashes.
+TRACE_ARRAYS = ("snr_db", "true_snr_db", "detected", "ber_true",
+                "ber_est", "delivered", "loss_prob")
+
+
+def _array_hash(array):
+    """sha256 of an array's dtype, shape and bytes."""
+    array = np.ascontiguousarray(array)
+    digest = hashlib.sha256()
+    digest.update(array.dtype.str.encode())
+    digest.update(repr(array.shape).encode())
+    digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _rng_hash(rng):
+    """sha256 of a generator's bit-generator state."""
+    state = json.dumps(rng.bit_generator.state, sort_keys=True)
+    return hashlib.sha256(state.encode()).hexdigest()
+
+
+def compute_trace_case(config):
+    """Hashes of every trace one case generates, in generation order.
+
+    Each entry hashes every ``LinkTrace`` array and the RNG state the
+    generator left behind; preset cases record that state by wrapping
+    the generator where ``repro.traces.workloads`` looks it up.
+    """
+    from repro.phy.rates import MODES, RATE_TABLE
+    from repro.traces import workloads
+
+    generator = workloads.generate_fading_trace
+    states = []
+
+    def recording(rng, *args, **kwargs):
+        trace = generator(rng, *args, **kwargs)
+        states.append(_rng_hash(rng))
+        return trace
+
+    params = {k: v for k, v in config.items() if k != "kind"}
+    if config["kind"] == "direct":
+        rng = np.random.default_rng(params.pop("seed"))
+        mean = params.pop("mean_snr_db")
+        table = params.pop("rates")
+        traces = [recording(
+            rng, mean_snr_db=lambda t: mean,
+            rates=RATE_TABLE if table == "full"
+            else RATE_TABLE.prototype_subset(),
+            mode=MODES[params.pop("mode")], **params)]
+    else:
+        workloads.generate_fading_trace = recording
+        try:
+            traces = getattr(workloads, config["kind"])(**params)
+        finally:
+            workloads.generate_fading_trace = generator
+    return [{"arrays": {name: _array_hash(getattr(trace, name))
+                        for name in TRACE_ARRAYS},
+             "rate_names": list(trace.rate_names),
+             "slot_duration": trace.slot_duration,
+             "rng_state": state}
+            for trace, state in zip(traces, states)]
+
+
+TRACE_GOLDEN_PATH = os.path.join(GOLDEN_DIR, "fading_traces.json")
+
+
+def write_trace_golden() -> None:
+    """Write ``fading_traces.json`` from :data:`TRACE_CASES`."""
+    cases = {}
+    for name, config in TRACE_CASES.items():
+        print(f"  traces: {name} ...", flush=True)
+        cases[name] = {"config": config,
+                       "traces": compute_trace_case(config)}
+    with open(TRACE_GOLDEN_PATH, "w") as fh:
+        json.dump({"cases": cases}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {TRACE_GOLDEN_PATH}")
+
+
 def main() -> int:
     goldens = {}
     for name, config in CONFIGS.items():
@@ -270,6 +411,8 @@ def main() -> int:
         json.dump(video, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {VIDEO_GOLDEN_PATH}")
+    print("computing fading-trace pin ...", flush=True)
+    write_trace_golden()
     return 0
 
 

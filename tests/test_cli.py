@@ -26,6 +26,20 @@ class TestTraceRoundtrip:
         assert "BPSK 1/2" in out
         assert "delivered" in out
 
+    def test_inspect_rejects_a_nan_loss_probability(self, tmp_path,
+                                                    capsys):
+        path = str(tmp_path / "link.npz")
+        assert main(["trace", path, "--duration", "0.1"]) == 0
+        with np.load(path) as data:
+            arrays = {name: data[name].copy() for name in data.files}
+        arrays["loss_prob"][2, 5] = np.nan
+        np.savez_compressed(path, **arrays)
+        capsys.readouterr()
+        assert main(["inspect", path]) == 2
+        captured = capsys.readouterr()
+        assert "loss_prob" in captured.err
+        assert "delivered" not in captured.out
+
     def test_walking_flag(self, tmp_path, capsys):
         path = str(tmp_path / "walk.npz")
         assert main(["trace", path, "--duration", "1.0",

@@ -1,7 +1,11 @@
 """Tests for the LinkTrace container."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.traces.format import LinkTrace
 
@@ -156,3 +160,73 @@ class TestTrueSnrColumn:
         # The estimate is the true SNR plus zero-mean noise.
         err = trace.snr_db - trace.true_snr_db
         assert np.std(err) > 0.1
+
+
+#: The float columns ``LinkTrace`` requires to be finite.
+_FINITE_COLUMNS = ("slot_duration", "snr_db", "true_snr_db", "ber_true",
+                   "ber_est", "loss_prob")
+
+
+def _saved_columns(directory):
+    """A valid trace with every column, saved and read back as arrays."""
+    trace = _trace(loss_prob=np.full((3, 10), 0.25))
+    trace.true_snr_db = np.linspace(18.0, 6.0, trace.n_slots)
+    path = os.path.join(directory, "valid.npz")
+    trace.save(path)
+    with np.load(path) as data:
+        return {name: data[name].copy() for name in data.files}
+
+
+class TestNonFinite:
+    """Non-finite values are rejected on construction and on load:
+    ``nan`` passes every ``<``/``>`` range check."""
+
+    @pytest.mark.parametrize("column", _FINITE_COLUMNS[1:])
+    def test_nan_column_rejected(self, column):
+        trace = _trace(loss_prob=np.full((3, 10), 0.25))
+        kwargs = dict(slot_duration=trace.slot_duration,
+                      snr_db=trace.snr_db, detected=trace.detected,
+                      ber_true=trace.ber_true, ber_est=trace.ber_est,
+                      delivered=trace.delivered,
+                      loss_prob=trace.loss_prob,
+                      true_snr_db=np.zeros(trace.n_slots))
+        kwargs[column] = np.array(kwargs[column], dtype=float)
+        kwargs[column].flat[3] = np.nan
+        with pytest.raises(ValueError, match=column):
+            LinkTrace(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_bad_slot_duration_rejected(self, value):
+        with pytest.raises(ValueError, match="slot_duration"):
+            _trace(slot=value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(column=st.sampled_from(_FINITE_COLUMNS),
+           value=st.sampled_from([np.nan, np.inf, -np.inf]),
+           position=st.integers(min_value=0, max_value=10**6))
+    def test_load_rejects_injected_non_finite(self, column, value,
+                                              position):
+        with tempfile.TemporaryDirectory() as directory:
+            arrays = _saved_columns(directory)
+            target = arrays[column].astype(float)
+            target.flat[position % target.size] = value
+            arrays[column] = target
+            path = os.path.join(directory, "bad.npz")
+            np.savez_compressed(path, **arrays)
+            with pytest.raises(ValueError, match=column):
+                LinkTrace.load(path)
+
+
+class TestReadOnly:
+    def test_every_array_becomes_non_writeable(self):
+        trace = _trace()
+        trace.true_snr_db = np.zeros(trace.n_slots)
+        assert trace.read_only() is trace
+        for name in ("snr_db", "true_snr_db", "detected", "ber_true",
+                     "ber_est", "delivered", "loss_prob"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 0
+
+    def test_lookups_still_work(self):
+        trace = _trace().read_only()
+        assert trace.observe(0.0, 1).slot == 0
