@@ -5,9 +5,14 @@ Decodes the same stack of fig07-style frames (1600-bit payloads, QPSK
 through ``Transceiver.receive`` and once through the batched
 ``receive_batch`` — and reports frames/sec for both.  The batched path
 must be bit-identical (spot-checked here, exhaustively checked in
-``tests/phy/test_batch.py``) and at least 3x faster on a 64-frame
+``tests/phy/test_batch.py``) and at least 2x faster on a 64-frame
 batch: the point of batching is that the Python-level trellis loops
-run once per batch instead of once per frame.
+run once per batch instead of once per frame, and a batch that
+degenerates into a per-frame loop (~1x) fails.  The floor was 3x
+until the BCJR kernel became one butterfly strategy: that made both
+paths faster, the per-frame one (the ratio's denominator) about 2.5x
+and the batched one about 1.3-1.5x, because a 64-frame decode is
+mostly per-element ``logaddexp`` work that batching cannot share.
 
 Set ``REPRO_SMOKE_BENCH=1`` for a seconds-scale smoke run (small batch
 and payload, relaxed speedup floor) — used by CI.
@@ -26,7 +31,7 @@ _SMOKE = os.environ.get("REPRO_SMOKE_BENCH", "") not in ("", "0")
 
 # (n_frames, payload_bits, required speedup)
 _N_FRAMES, _PAYLOAD_BITS, _MIN_SPEEDUP = \
-    (8, 400, 1.0) if _SMOKE else (64, 1600, 3.0)
+    (8, 400, 1.0) if _SMOKE else (64, 1600, 2.0)
 _RATE_INDEX = 3                     # QPSK 3/4, the fig07 reference rate
 _SNR_RANGE_DB = (4.0, 12.0)         # the rate's waterfall region
 

@@ -31,10 +31,12 @@ def error_probabilities(hints: np.ndarray) -> np.ndarray:
     """Per-bit error probabilities from SoftPHY hints (Eq. 3).
 
     ``p_k = 1 / (1 + exp(s_k))``; computed stably for large hints.
+    Raises ``ValueError`` for a negative or NaN hint.
     """
     hints = np.asarray(hints, dtype=np.float64)
-    if np.any(hints < 0):
-        raise ValueError("SoftPHY hints are magnitudes; must be >= 0")
+    if not np.all(hints >= 0):                 # also catches NaN
+        raise ValueError("SoftPHY hints are magnitudes; must be >= 0 "
+                         "and not NaN")
     # 1 / (1 + e^s) = e^-s / (1 + e^-s): stable for all s >= 0.
     exp_neg = np.exp(-hints)
     return exp_neg / (1.0 + exp_neg)

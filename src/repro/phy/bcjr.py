@@ -17,95 +17,143 @@ Two recursion flavours are provided:
   faster, with slightly optimistic hint magnitudes (ablated in
   ``benchmarks/test_ablation_decoder.py``).
 
-The recursions exploit the 2-regular trellis of a rate-1/2 code: every
-state has exactly two predecessors and two successors, so each step is
-a single vectorised binary combine over the state vector.
+The decoder is one **batched kernel** (:func:`bcjr_decode_batch`) for
+every batch size: a ``(n_frames, n_llrs)`` stack of equal-length frames
+advances through the trellis together, the Python loop running once
+per trellis step for the whole batch.  :func:`bcjr_decode` is a thin
+single-frame wrapper; a batch row and its wrapper decode are
+bit-identical.
 
-The decoder is implemented as a **batched kernel**
-(:func:`bcjr_decode_batch`): a ``(n_frames, n_llrs)`` stack of
-equal-length frames advances through every trellis step together, so
-the Python-level recursion loop runs once for the whole batch instead
-of once per frame.  :func:`bcjr_decode` is a thin single-frame wrapper
-over the same kernel; both paths are bit-identical (the batched code
-performs exactly the same elementwise float operations and last-axis
-reductions as the per-frame code).
+The kernel rests on the shift-register trellis being a radix-2
+butterfly: with ``H = n_states / 2``, state ``s`` moves on input ``b``
+to ``b * H + s // 2``, so the forward step computes alpha's state
+``b * H + j`` from states ``2j`` and ``2j + 1``.  Stored in bit-reversed
+state order, the backward step has exactly that form too, so alpha at
+step ``t`` and beta at step ``T - t`` ride in one ``(2, n_states,
+n_frames)`` slab.  Stored even states first, the butterfly's inputs
+are the slab's two halves, and one step of both recursions is four
+ufunc calls on views: one add of every input's branch metric, the
+combine, the row max and the normalising subtract.  Frames are the
+last axis, so at large batches these run over long contiguous rows.
+The four distinct branch metrics of each step are gathered into
+butterfly order a block of steps at a time, and the posterior is
+combined after the loop, also blockwise, with one row-wise log-sum-exp
+over the stacked numerator and denominator scores.
+
+Memory per call is the slab history, ``16 * T * F * S`` bytes for
+``T`` steps, ``F`` frames and ``S`` states (107 MB for 64 frames of
+1638 steps of the 64-state 802.11 code), plus ``64 * T * F`` bytes of
+branch metrics and fixed-size block buffers.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from repro.phy.convcode import ConvolutionalCode
+from repro.phy.convcode import ConvolutionalCode, Trellis, check_llr_stack
 
 __all__ = ["bcjr_decode", "bcjr_decode_batch", "BcjrResult",
            "BcjrBatchResult"]
 
 _NEG_INF = -1e30
 
-#: Batch size at which the fused backward pass overtakes the
-#: whole-array posterior combine (see ``bcjr_decode_batch``).  Both
-#: strategies are bit-identical; this is purely a speed crossover.
-_FUSED_MIN_FRAMES = 8
+#: Trellis (step x frame x state) cells per block of the branch-metric
+#: gather and of the posterior combine: a cache budget, not a tuning
+#: knob (2**13 to 2**16 cells time within 5% of each other; larger
+#: blocks spill out of cache).
+_BLOCK_CELLS = 1 << 14
+
+#: The four distinct branch metrics ``c0 * L0 + c1 * L1`` of a step,
+#: one per coded-bit pair ``(c0, c1)``, at index ``2 * c0 + c1``.
+_C0 = np.array([0.0, 0.0, 1.0, 1.0])
+_C1 = np.array([0.0, 1.0, 0.0, 1.0])
 
 
-def _logsumexp_last(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over the last axis of ``a``.
+class _Butterfly:
+    """One code's gather tables for :func:`bcjr_decode_batch`, whose
+    metric rows 0-3 are step ``t``'s and 4-7 step ``T - 1 - t``'s and
+    whose slab keeps state ``2j + e`` in row ``e * H + j``.
 
-    Bit-identical to ``scipy.special.logsumexp(a, axis=-1)`` (scipy >=
-    1.15 algorithm: maxima pulled out of the sum, remainder scaled by
-    their multiplicity ``m``, result ``log1p(s) + log(m) + a_max``)
-    for finite real inputs, and to :func:`_logsumexp_rows` — but
-    allocating, for the small-batch whole-array strategy.
+    Attributes:
+        step: ``(2, 2, 2, H)`` metric rows ``[e, d, x, k]`` added to
+            input ``e`` (0: the even state ``2k``, 1: the odd one) of
+            output ``x * H + k`` in recursion ``d`` (0 alpha, 1 beta).
+        score_metric: ``(2, S)`` metric rows of transition ``(s, b)``.
+        alpha_row: ``(S,)`` slab row of alpha's state ``s``.
+        score_beta: ``(2, S)`` slab row of beta's ``next_state[s, b]``.
     """
-    mx = a.max(axis=-1, keepdims=True)
-    mask = a == mx
-    m = mask.sum(axis=-1, dtype=a.dtype)
-    e = np.exp(a - mx)
-    e[mask] = 0.0
-    s = e.sum(axis=-1)
-    np.divide(s, m, out=s, where=s != 0)       # s == 0 stays 0
-    return np.log1p(s) + np.log(m) + mx[..., 0]
+
+    __slots__ = ("step", "score_metric", "alpha_row", "score_beta")
+
+    def __init__(self, trellis: Trellis):
+        n_states = trellis.n_states
+        half = n_states // 2
+        states = np.arange(n_states)
+        if (n_states < 2 or n_states & (n_states - 1)
+                or not np.array_equal(
+                    trellis.next_state,
+                    np.stack([states // 2, half + states // 2], axis=1))):
+            raise ValueError(
+                "BCJR needs a shift-register butterfly trellis: "
+                "next_state[s, b] == b * n_states / 2 + s // 2")
+        n_bits = n_states.bit_length() - 1
+        reverse = np.array([int(f"{s:0{n_bits}b}"[::-1], 2) for s in states])
+        label = 2 * trellis.outputs[..., 0] + trellis.outputs[..., 1]
+        k = np.arange(half)
+        # alpha: output x*H + k from states 2k (e = 0) and 2k + 1 on
+        # input x.  Bit-reversed beta: output x*H + k is state
+        # 2j + x with j = reverse[k] >> 1, reached from its successors
+        # j (input e = 0, bit-reversed position 2k) and H + j (e = 1,
+        # position 2k + 1).
+        source = 2 * (reverse[k] >> 1)
+        step = np.empty((2, 2, 2, half), dtype=np.intp)
+        for e in (0, 1):
+            for x in (0, 1):
+                step[e, 0, x] = label[2 * k + e, x]
+                step[e, 1, x] = 4 + label[source + x, e]
+        row = (states & 1) * half + (states >> 1)  # even states first
+        self.step = step
+        self.score_metric = label.T.copy()
+        self.alpha_row = row
+        self.score_beta = row[reverse[trellis.next_state]].T.copy()
+        for name in self.__slots__:            # shared by every decode
+            getattr(self, name).setflags(write=False)
 
 
-class _LseBuffers:
-    """Scratch slabs for :func:`_logsumexp_rows` (one set per decode)."""
-
-    __slots__ = ("mx", "mask", "m", "s")
-
-    def __init__(self, n_frames: int, n_states: int):
-        self.mx = np.empty((n_frames, 1))
-        self.mask = np.empty((n_frames, n_states), dtype=bool)
-        self.m = np.empty(n_frames)
-        self.s = np.empty(n_frames)
+#: Tables per code, built on its first decode rather than at import.
+_BUTTERFLIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _logsumexp_rows(a: np.ndarray, buf: _LseBuffers,
-                    out: np.ndarray) -> None:
-    """Row-wise log-sum-exp of ``a`` (shape ``(F, S)``) into ``out``.
+def _butterfly(code: ConvolutionalCode) -> _Butterfly:
+    """``code``'s butterfly tables."""
+    tables = _BUTTERFLIES.get(code)
+    if tables is None:
+        tables = _BUTTERFLIES[code] = _Butterfly(code.trellis)
+    return tables
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis of ``a``, consuming ``a``.
 
     Bit-identical to ``scipy.special.logsumexp(a, axis=-1)`` (scipy >=
     1.15 algorithm) for the finite inputs the trellis produces
     (``_NEG_INF`` is a large finite float, so the row max is always
-    finite, real, and ``b is None``): the maximal elements are pulled
-    out of the sum, the remainder is scaled by their multiplicity
-    ``m``, and the result is ``log1p(s) + log(m) + a_max``.  Unlike
-    the scipy call this is allocation-free — ``a`` is consumed as
-    scratch and ``buf`` holds caller-owned slabs — which matters when
-    it runs once per trellis step.
+    finite): the maximal elements are pulled out of the sum, the rest
+    is scaled by their multiplicity ``m``, and the result is
+    ``log1p(s) + log(m) + a_max``.  The row sum's rounding depends on
+    element order, so rows must be in natural state order.
     """
-    np.amax(a, axis=1, keepdims=True, out=buf.mx)
-    np.equal(a, buf.mx, out=buf.mask)          # maximal elements
-    np.sum(buf.mask, axis=1, dtype=a.dtype, out=buf.m)
-    np.subtract(a, buf.mx, out=a)
+    mx = np.amax(a, axis=-1, keepdims=True)
+    mask = a == mx                             # maximal elements
+    m = np.sum(mask, axis=-1, dtype=a.dtype)
+    np.subtract(a, mx, out=a)
     np.exp(a, out=a)
-    a[buf.mask] = 0.0                          # exclude the maxima
-    np.sum(a, axis=1, out=buf.s)
-    np.divide(buf.s, buf.m, out=buf.s,
-              where=buf.s != 0)                # s == 0 stays 0
-    np.log1p(buf.s, out=buf.s)
-    np.log(buf.m, out=buf.m)
-    np.add(buf.s, buf.m, out=buf.s)
-    np.add(buf.s, buf.mx[:, 0], out=out)
+    a[mask] = 0.0                              # exclude the maxima
+    s = np.sum(a, axis=-1)
+    np.divide(s, m, out=s, where=s != 0)       # s == 0 stays 0
+    return np.log1p(s) + np.log(m) + mx[..., 0]
 
 
 class BcjrResult:
@@ -170,156 +218,101 @@ def bcjr_decode_batch(code: ConvolutionalCode, channel_llrs: np.ndarray,
                       variant: str = "log-map") -> BcjrBatchResult:
     """Decode a ``(n_frames, n_llrs)`` stack of equal-length streams.
 
-    All frames advance each trellis step together: the forward and
-    backward recursions run their Python loop once per trellis step for
-    the whole batch, with per-frame state vectors stacked along the
-    leading axis.  The output is bit-identical to decoding each row
+    All frames advance each trellis step together (frames are the last
+    axis of every work array), and the forward and backward recursions
+    advance in the same loop pass as one butterfly (see the module
+    docstring).  The output is bit-identical to decoding each row
     individually with :func:`bcjr_decode`.
 
     Args:
-        code: the convolutional code.
+        code: the convolutional code; its trellis must be the
+            shift-register butterfly every :class:`ConvolutionalCode`
+            builds.
         channel_llrs: depunctured channel LLRs, shape
             ``(n_frames, 2 * n_steps)``; punctured positions are 0.
+            Must be finite.
         variant: ``"log-map"`` (exact) or ``"max-log-map"``.
 
     Returns:
         A :class:`BcjrBatchResult` with posterior LLRs of shape
         ``(n_frames, n_steps - n_tail_bits)``.
     """
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if llrs.ndim != 2:
-        raise ValueError("bcjr_decode_batch expects a 2-D LLR array")
-    if llrs.shape[-1] % 2 != 0:
-        raise ValueError("channel LLR stream must have even length")
-    n_frames = llrs.shape[0]
-    n_steps = llrs.shape[-1] // 2
-    if n_steps <= code.n_tail_bits:
-        raise ValueError("input shorter than the code's tail")
+    llrs = check_llr_stack(code, channel_llrs, "bcjr_decode_batch")
     if variant == "log-map":
         combine = np.logaddexp
     elif variant == "max-log-map":
         combine = np.maximum
     else:
         raise ValueError(f"unknown BCJR variant: {variant!r}")
+    tables = _butterfly(code)
+    n_frames = llrs.shape[0]
+    n_steps = llrs.shape[-1] // 2
+    n_info = n_steps - code.n_tail_bits
+    n_states = code.trellis.n_states
+    half = n_states // 2
+    block = max(1, _BLOCK_CELLS // max(1, n_frames * n_states))
 
-    trellis = code.trellis
-    n_states = trellis.n_states
-    next_state = trellis.next_state            # (S, 2)
-    prev_state = trellis.prev_state            # (S, 2)
-    prev_input = trellis.prev_input            # (S, 2)
+    # metrics[t, 2 c0 + c1, f] = c0 * L0 + c1 * L1: the branch metric
+    # of every transition emitting coded bits (c0, c1) at step t (terms
+    # independent of the transition cancel in LLRs).  Rows 4-7 hold
+    # step T - 1 - t's, which the backward half of loop pass t uses.
+    # Batch arrays are time-major with frames last, so each step works
+    # on contiguous (state x frame) planes and, at large batches, the
+    # ufunc inner loops run over frames.
+    metrics = np.empty((n_steps, 8, n_frames))
+    np.add(_C0[:, None] * llrs[:, 0::2].T[:, None],
+           _C1[:, None] * llrs[:, 1::2].T[:, None], out=metrics[:, :4])
+    metrics[:, 4:] = metrics[::-1, :4]
 
-    # gamma[t, f, s, b] = c0 * L0[f, t] + c1 * L1[f, t] for that
-    # transition's coded bits (terms independent of the transition
-    # cancel in LLRs).  All batch arrays are **time-major** so each
-    # recursion step works on one contiguous (n_frames, ...) slab —
-    # frame-major layout would stride megabytes apart per step and
-    # thrash the cache into being slower than the scalar path.
-    out = trellis.outputs.astype(np.float64)   # (S, 2, 2)
-    pairs = llrs.reshape(n_frames, n_steps, 2).transpose(1, 0, 2)
-    gamma = (out[None, None, :, :, 0] * pairs[:, :, None, None, 0]
-             + out[None, None, :, :, 1] * pairs[:, :, None, None, 1])
-    gamma_flat = gamma.reshape(n_steps, n_frames, 2 * n_states)
+    # slab[i] = (alpha_i, beta_{T - i} in bit-reversed state order),
+    # each stored even states first: state 2j + e sits in row e*H + j,
+    # so the butterfly's two inputs are the two contiguous halves.  The
+    # trellis starts and (terminated) ends in state 0, which is its own
+    # bit reversal.  Pass i turns slab[i] into slab[i + 1]: output
+    # x*H + k of either recursion combines states 2k and 2k + 1, each
+    # plus its branch metric, and is normalised by the row max against
+    # drift (offsets cancel in the final LLR).
+    slab = np.empty((n_steps, 2, n_states, n_frames))
+    slab[0] = _NEG_INF
+    slab[0, :, 0] = 0.0
+    halves = slab.reshape(n_steps, 2, 2, half, n_frames)   # [i, d, e, j, f]
+    inputs = halves.transpose(0, 2, 1, 3, 4)[:, :, :, None]
+    paths = np.empty((2, 2, 2, half, n_frames))            # [e, d, x, k, f]
+    from_even, from_odd = paths
+    combined = from_even.reshape(2, n_states, n_frames)    # [d, n, f]
+    # Output state n = 2j + e, as [d, e, j, f] to match halves[i + 1].
+    combined_halves = combined.reshape(2, half, 2, n_frames) \
+        .transpose(0, 2, 1, 3)
+    mx = np.empty((2, 1, n_frames))
+    mx_halves = mx[:, None]
+    for i0 in range(0, n_steps - 1, block):
+        i1 = min(i0 + block, n_steps - 1)
+        gamma = np.take(metrics[i0:i1], tables.step, axis=1)
+        for g, src, nxt in zip(gamma, inputs[i0:i1],
+                               halves[i0 + 1:i1 + 1]):
+            np.add(src, g, out=paths)
+            combine(from_even, from_odd, out=from_even)
+            np.maximum.reduce(combined, axis=1, keepdims=True, out=mx)
+            np.subtract(combined_halves, mx_halves, out=nxt)
 
-    # Column index into gamma_flat for the transition that enters state
-    # s via its i-th predecessor (i = 0, 1).
-    enter_col = prev_state * 2 + prev_input    # (S, 2)
-    enter0, enter1 = enter_col[:, 0], enter_col[:, 1]
-    pred0, pred1 = prev_state[:, 0], prev_state[:, 1]
-    succ0, succ1 = next_state[:, 0], next_state[:, 1]
-    leave0 = 2 * np.arange(n_states)           # transition (s, 0)
-    leave1 = leave0 + 1                        # transition (s, 1)
-
-    # Scratch slabs reused every step: at thousands of trellis steps,
-    # per-step temporaries would make the allocator a hot spot.
-    shape = (n_frames, n_states)
-    ta, tb, tc = (np.empty(shape) for _ in range(3))
-    mx = np.empty((n_frames, 1))
-
-    # Forward recursion.  alpha is kept whole: the fused backward pass
-    # below consumes alpha[t] while it walks t backwards.
-    alpha = np.empty((n_steps + 1, n_frames, n_states))
-    alpha[0] = _NEG_INF
-    alpha[0, :, 0] = 0.0
-    for t in range(n_steps):
-        row = alpha[t]                         # (F, S)
-        gf = gamma_flat[t]                     # (F, 2S)
-        np.take(row, pred0, axis=1, out=ta)
-        np.take(gf, enter0, axis=1, out=tb)
-        np.add(ta, tb, out=ta)                 # row[pred0] + gf[enter0]
-        np.take(row, pred1, axis=1, out=tc)
-        np.take(gf, enter1, axis=1, out=tb)
-        np.add(tc, tb, out=tc)                 # row[pred1] + gf[enter1]
-        combine(ta, tc, out=ta)
-        # Normalise to avoid drift; offsets cancel in the final LLR.
-        np.amax(ta, axis=1, keepdims=True, out=mx)
-        np.subtract(ta, mx, out=alpha[t + 1])
-
-    # Backward recursion (terminated trellis: end in state 0) and
-    # posterior combine, by one of two bit-identical strategies.
-    # Transition (s, b) runs from alpha[t, s] to
-    # beta[t + 1, next_state[s, b]].
-    if n_frames >= _FUSED_MIN_FRAMES:
-        # Large batches: fuse the posterior into the backward loop.
-        # At step t both beta[t + 1] and alpha[t] are live in cache,
-        # so the per-step LLR combine costs one more pass over the
-        # same slabs instead of materialising (T, F, S) score arrays.
-        g0, g1, b0, b1, s0, s1 = (np.empty(shape) for _ in range(6))
-        lse_buf = _LseBuffers(n_frames, n_states)
-        num = np.empty((n_steps, n_frames))
-        den = np.empty((n_steps, n_frames))
-        beta_next = np.full(shape, _NEG_INF)   # beta[t + 1]
-        beta_next[:, 0] = 0.0
-        beta_cur = np.empty(shape)
-        for t in range(n_steps - 1, -1, -1):
-            alpha_t = alpha[t]
-            gf = gamma_flat[t]
-            np.take(gf, leave0, axis=1, out=g0)    # gamma[t, :, :, 0]
-            np.take(gf, leave1, axis=1, out=g1)
-            np.take(beta_next, succ0, axis=1, out=b0)
-            np.take(beta_next, succ1, axis=1, out=b1)
-            # Posterior scores, in the reference association order
-            # (alpha + gamma) + beta.
-            np.add(alpha_t, g0, out=s0)
-            np.add(s0, b0, out=s0)
-            np.add(alpha_t, g1, out=s1)
-            np.add(s1, b1, out=s1)
-            if variant == "log-map":
-                _logsumexp_rows(s1, lse_buf, num[t])
-                _logsumexp_rows(s0, lse_buf, den[t])
-            else:
-                np.amax(s1, axis=1, out=num[t])
-                np.amax(s0, axis=1, out=den[t])
-            # Beta recursion, reference order beta[succ] + gamma.
-            np.add(b0, g0, out=b0)
-            np.add(b1, g1, out=b1)
-            combine(b0, b1, out=b0)
-            np.amax(b0, axis=1, keepdims=True, out=mx)
-            np.subtract(b0, mx, out=beta_cur)
-            beta_next, beta_cur = beta_cur, beta_next
-    else:
-        # Small batches (including the scalar wrapper's n_frames = 1):
-        # per-step slabs are too small to amortise the fused pass's
-        # extra ufunc calls, so keep beta whole and combine the
-        # posterior in a few whole-array operations instead.
-        beta = np.empty((n_steps + 1, n_frames, n_states))
-        beta[n_steps] = _NEG_INF
-        beta[n_steps, :, 0] = 0.0
-        for t in range(n_steps - 1, -1, -1):
-            row = beta[t + 1]
-            gf = gamma_flat[t]
-            prev = combine(row[:, succ0] + gf[:, leave0],
-                           row[:, succ1] + gf[:, leave1])
-            beta[t] = prev - prev.max(axis=-1, keepdims=True)
-        score0 = (alpha[:-1] + gamma[:, :, :, 0]
-                  + beta[1:][:, :, succ0])     # (T, F, S)
-        score1 = (alpha[:-1] + gamma[:, :, :, 1]
-                  + beta[1:][:, :, succ1])
-        if variant == "log-map":
-            num = _logsumexp_last(score1)
-            den = _logsumexp_last(score0)
+    # Posterior of bit t: transition (s, b) runs from alpha_t[s] to
+    # beta_{t+1}[next_state[s, b]].  Scores keep the association order
+    # (alpha + gamma) + beta and are summed over contiguous rows in
+    # natural state order, with the numerator (b = 1) and denominator
+    # (b = 0) stacked on axis 1.
+    posterior = np.empty((n_frames, n_info))
+    for t0 in range(0, n_info, block):
+        t1 = min(t0 + block, n_info)
+        scores = np.take(metrics[t0:t1], tables.score_metric, axis=1)
+        alpha = np.take(slab[t0:t1, 0], tables.alpha_row, axis=1)
+        np.add(alpha[:, None], scores, out=scores)
+        beta_next = slab[n_steps - t1:n_steps - t0, 1][::-1]
+        rows = np.empty((t1 - t0, 2, n_frames, n_states))
+        np.add(scores, np.take(beta_next, tables.score_beta, axis=1),
+               out=rows.transpose(0, 1, 3, 2))
+        if combine is np.logaddexp:
+            lse = _logsumexp_rows(rows)
         else:
-            num = score1.max(axis=-1)
-            den = score0.max(axis=-1)
-
-    posterior = num.T - den.T                  # (F, T), C-contiguous
-    return BcjrBatchResult(posterior[:, : n_steps - code.n_tail_bits])
+            lse = np.amax(rows, axis=-1)
+        np.subtract(lse[:, 1], lse[:, 0], out=posterior[:, t0:t1].T)
+    return BcjrBatchResult(posterior)

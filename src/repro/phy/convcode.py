@@ -25,6 +25,7 @@ __all__ = [
     "puncture",
     "depuncture",
     "n_coded_bits",
+    "check_llr_stack",
 ]
 
 #: Puncturing patterns over the interleaved (out0, out1) coded stream.
@@ -173,6 +174,31 @@ def n_coded_bits(n_trellis_steps: int, code_rate: Fraction) -> int:
     mother = 2 * n_trellis_steps
     full, rem = divmod(mother, pattern.size)
     return int(full * pattern.sum() + pattern[:rem].sum())
+
+
+def check_llr_stack(code: ConvolutionalCode, channel_llrs: np.ndarray,
+                    decoder: str) -> np.ndarray:
+    """Validate a trellis decoder's ``(n_frames, 2 * n_steps)`` input.
+
+    Shared by the BCJR and Viterbi batch kernels.  Returns the LLRs as
+    float64; raises ``ValueError`` (naming ``decoder`` for a wrong
+    dimensionality) unless the stack is 2-D, of even length, longer
+    than the code's tail and finite.  A NaN or infinity would otherwise
+    spoil the whole frame's decode (all-NaN BCJR posteriors, a wrong
+    Viterbi path) with at most a ``RuntimeWarning``.
+    """
+    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    if llrs.ndim != 2:
+        raise ValueError(f"{decoder} expects a 2-D LLR array")
+    if llrs.shape[-1] % 2 != 0:
+        raise ValueError("channel LLR stream must have even length")
+    if llrs.shape[-1] // 2 <= code.n_tail_bits:
+        raise ValueError("input shorter than the code's tail")
+    finite = np.isfinite(llrs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"frame {int(np.argmin(finite))} has non-finite "
+                         "channel LLRs (NaN or inf)")
+    return llrs
 
 
 def puncture(coded: np.ndarray, code_rate: Fraction) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.phy.convcode import ConvolutionalCode
+from repro.phy.convcode import ConvolutionalCode, check_llr_stack
 
 __all__ = ["viterbi_decode", "viterbi_decode_batch"]
 
@@ -61,21 +61,15 @@ def viterbi_decode_batch(code: ConvolutionalCode,
     Args:
         code: the convolutional code (defines the trellis).
         channel_llrs: depunctured channel LLRs, shape
-            ``(n_frames, 2 * n_steps)``.
+            ``(n_frames, 2 * n_steps)``; must be finite.
 
     Returns:
         Decoded information bits, shape
         ``(n_frames, n_steps - n_tail_bits)``.
     """
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if llrs.ndim != 2:
-        raise ValueError("viterbi_decode_batch expects a 2-D LLR array")
-    if llrs.shape[-1] % 2 != 0:
-        raise ValueError("channel LLR stream must have even length")
+    llrs = check_llr_stack(code, channel_llrs, "viterbi_decode_batch")
     n_frames = llrs.shape[0]
     n_steps = llrs.shape[-1] // 2
-    if n_steps <= code.n_tail_bits:
-        raise ValueError("input shorter than the code's tail")
 
     trellis = code.trellis
     n_states = trellis.n_states

@@ -35,6 +35,16 @@ class TestErrorProbabilities:
         with pytest.raises(ValueError):
             error_probabilities(np.array([-1.0]))
 
+    def test_nan_hint_rejected(self):
+        # NaN passes a ``hints < 0`` test; it must not reach p_k.
+        with pytest.raises(ValueError):
+            error_probabilities(np.array([0.5, np.nan]))
+        with pytest.raises(ValueError):
+            frame_ber_estimate(np.array([np.nan]))
+
+    def test_infinite_hint_is_certainty(self):
+        assert error_probabilities(np.array([np.inf]))[0] == 0.0
+
     @given(st.floats(min_value=0, max_value=100))
     def test_range_property(self, s):
         p = error_probabilities(np.array([s]))[0]

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel.awgn import apply_channel, noise_var_for_snr_db
 from repro.phy import bits as bitutil
@@ -84,21 +85,18 @@ class TestDecoderKernelParity:
             bcjr_decode(code, batch[0]).llrs)
 
     @pytest.mark.parametrize("variant", ["log-map", "max-log-map"])
-    def test_fused_and_materialised_strategies_agree(self, code,
-                                                     variant):
-        """The kernel switches execution strategy at _FUSED_MIN_FRAMES;
-        both must be bit-identical (to each other and the scalar
-        wrapper, which always uses the small-batch strategy)."""
-        from repro.phy.bcjr import _FUSED_MIN_FRAMES
-
+    @pytest.mark.parametrize("n_frames", [1, 7, 8, 9, 16, 33])
+    def test_every_batch_size_matches_scalar(self, code, n_frames,
+                                             variant):
+        """Batch size is a pure throughput knob: every row of a batch
+        of any size equals the scalar wrapper's decode of that row."""
         rng = np.random.default_rng(19)
-        n_frames = _FUSED_MIN_FRAMES + 1
         batch = _noisy_llr_batch(code, Fraction(1, 2), 53, n_frames,
                                  rng)
-        fused = bcjr_decode_batch(code, batch, variant)
+        result = bcjr_decode_batch(code, batch, variant)
         for i in range(n_frames):
             scalar = bcjr_decode(code, batch[i], variant)
-            assert np.array_equal(fused.llrs[i], scalar.llrs)
+            assert np.array_equal(result.llrs[i], scalar.llrs)
 
     def test_rejects_wrong_dimensionality(self, code):
         with pytest.raises(ValueError, match="2-D"):
@@ -109,6 +107,38 @@ class TestDecoderKernelParity:
             bcjr_decode(code, np.zeros((2, 40)))
         with pytest.raises(ValueError, match="1-D"):
             viterbi_decode(code, np.zeros((2, 40)))
+
+
+class TestNonFiniteLlrs:
+    """One NaN or infinity among a frame's channel LLRs used to turn
+    the BCJR posterior into all-NaN LLRs and all-zero bits, and the
+    Viterbi decision into a wrong path, with no more than a
+    RuntimeWarning.  Both kernels and both scalar wrappers raise."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_frames=st.integers(1, 6), n_steps=st.integers(7, 40),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           data=st.data())
+    def test_batch_kernels_name_the_first_bad_frame(self, code, n_frames,
+                                                    n_steps, bad, data):
+        frame = data.draw(st.integers(0, n_frames - 1), label="frame")
+        pos = data.draw(st.integers(0, 2 * n_steps - 1), label="pos")
+        llrs = np.random.default_rng(pos).normal(
+            size=(n_frames, 2 * n_steps))
+        llrs[frame, pos] = bad
+        for decode in (bcjr_decode_batch, viterbi_decode_batch):
+            with pytest.raises(ValueError, match=f"frame {frame} "):
+                decode(code, llrs)
+        for decode in (bcjr_decode, viterbi_decode):
+            with pytest.raises(ValueError, match="non-finite"):
+                decode(code, llrs[frame])
+
+    def test_later_bad_frames_do_not_hide_the_first(self, code):
+        llrs = np.zeros((5, 20))
+        llrs[4, 0] = np.nan
+        llrs[2, 7] = -np.inf
+        with pytest.raises(ValueError, match="frame 2 "):
+            bcjr_decode_batch(code, llrs)
 
 
 class TestEncoderKernelParity:

@@ -1,5 +1,6 @@
 """Tests for the soft-output BCJR decoder (the SoftPHY hint source)."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy import bits as bitutil
-from repro.phy.bcjr import bcjr_decode
+from repro.phy.bcjr import _butterfly, bcjr_decode
 from repro.phy.convcode import ConvolutionalCode, depuncture, puncture
 from repro.phy.viterbi import viterbi_decode
 
@@ -132,6 +133,19 @@ class TestValidation:
     def test_too_short_rejected(self, code):
         with pytest.raises(ValueError):
             bcjr_decode(code, np.zeros(8))
+
+    def test_non_butterfly_trellis_rejected(self):
+        # The kernel relies on next_state[s, b] == b * S/2 + s // 2.
+        code = ConvolutionalCode(3, (0o7, 0o5))
+        code.trellis = dataclasses.replace(
+            code.trellis, next_state=code.trellis.next_state[:, ::-1])
+        with pytest.raises(ValueError, match="butterfly"):
+            bcjr_decode(code, np.zeros(20))
+
+    def test_tables_built_once_per_code(self, code):
+        bcjr_decode(code, np.zeros(20))
+        assert _butterfly(code) is _butterfly(code)
+        assert _butterfly(ConvolutionalCode()) is not _butterfly(code)
 
 
 @settings(max_examples=15, deadline=None)
