@@ -43,8 +43,9 @@ trajectory over a frame's airtime and wraps the outcome as a
 from __future__ import annotations
 
 import abc
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -161,10 +162,23 @@ class PhyBackend(abc.ABC):
         #: (lazily built; FullPhyBackend reuses its decode pipeline).
         self._layout_phy = None
         self._airtime_cache = {}
-        #: trace objects already validated by :meth:`observe` (by id).
-        self._validated_traces: set = set()
+        #: trace objects already validated by :meth:`observe`.  Weak
+        #: references, not ids: CPython reuses a freed object's id, and
+        #: a new trace must not inherit a dead one's validation.
+        self._validated_traces = weakref.WeakSet()
         #: per-airtime sample-offset arrays for :meth:`observe`.
         self._offsets_cache: dict = {}
+
+    def __getstate__(self):
+        # Weak references do not pickle; a copy starts with no trace
+        # validated, which only costs it one check per trace.
+        state = self.__dict__.copy()
+        del state["_validated_traces"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._validated_traces = weakref.WeakSet()
 
     @abc.abstractmethod
     def frame_outcome(self, rate_index: int,
@@ -201,7 +215,31 @@ class PhyBackend(abc.ABC):
 
         Returns:
             A :class:`PhyFrameOutcome`.
+
+        Raises:
+            ValueError: the trajectory is empty, or a sample is NaN or
+                ``+inf`` (``-inf``, no signal, is valid); raised before
+                anything is drawn from ``rng``.
         """
+
+    @staticmethod
+    def _trajectory(snr_db_per_symbol) -> np.ndarray:
+        """The SNR trajectory as a float array of at least one sample.
+
+        ``-inf`` (no signal at all) is a valid sample.  NaN and
+        ``+inf`` are not: raise ``ValueError`` naming the first one,
+        before the caller draws anything from its generator.
+        """
+        trajectory = np.atleast_1d(
+            np.asarray(snr_db_per_symbol, dtype=np.float64))
+        if trajectory.size == 0:
+            raise ValueError("the SNR trajectory has no samples")
+        if not trajectory.max() < np.inf:      # NaN or +inf somewhere
+            first = int(np.argmin(trajectory.ravel() < np.inf))
+            raise ValueError(
+                f"SNR sample {first} is {trajectory.flat[first]}; samples "
+                "must be finite dB values, or -inf for no signal")
+        return trajectory
 
     @staticmethod
     def aligned_payload_bits(n_payload_bits: int) -> int:
@@ -262,7 +300,7 @@ class PhyBackend(abc.ABC):
 
         # A contention run observes thousands of frames against a
         # handful of traces: validate each trace object once.
-        if id(trace) not in self._validated_traces:
+        if trace not in self._validated_traces:
             if trace.n_rates != len(self.rates):
                 raise ValueError(
                     f"trace has {trace.n_rates} rates but the backend's "
@@ -278,7 +316,7 @@ class PhyBackend(abc.ABC):
                     f"{self.rates.names()}; construct the backend with "
                     "the simulation's rate table "
                     "(get_backend(name, rates=...))")
-            self._validated_traces.add(id(trace))
+            self._validated_traces.add(trace)
         airtime = self.frame_airtime(n_payload_bits, rate_index)
         offsets = self._offsets_cache.get(airtime)
         if offsets is None:
@@ -364,10 +402,9 @@ class FullPhyBackend(PhyBackend):
         from repro.channel.awgn import apply_channel
         from repro.core.hints import frame_ber_estimate
 
+        trajectory = self._trajectory(snr_db_per_symbol)
         tx = self._tx_frame(n_payload_bits, rate_index)
         n_symbols = tx.layout.n_symbols
-        trajectory = np.atleast_1d(
-            np.asarray(snr_db_per_symbol, dtype=np.float64))
         position = np.linspace(0.0, 1.0, n_symbols)
         sample_pos = np.linspace(0.0, 1.0, trajectory.size)
         snr_syms = np.interp(position, sample_pos, trajectory)
@@ -403,6 +440,21 @@ class FullPhyBackend(PhyBackend):
             if need_error_mask else None)
 
 
+class _Segments(NamedTuple):
+    """How one frame's information bits spread over its SNR samples."""
+
+    #: bits per kept sample (every entry > 0), int64.
+    bits: np.ndarray
+    #: ``bits`` as float64, the weights of the frame-level averages.
+    bits_f: np.ndarray
+    #: their float64 total, summed as ``np.average`` sums its weights.
+    bits_sum: np.float64
+    #: samples that carry at least one bit, or ``None`` when all do.
+    keep: Optional[np.ndarray]
+    #: index of each kept segment's first bit.
+    starts: np.ndarray
+
+
 class SurrogatePhyBackend(PhyBackend):
     """Calibrated table-driven stand-in for the full PHY.
 
@@ -418,6 +470,14 @@ class SurrogatePhyBackend(PhyBackend):
     feedback all behave like the full pipeline's, including the
     estimator floor on error-free frames and high reported BER on
     failed ones.
+
+    A frame's five calibrated surfaces (log hazard, errored log-BER
+    mean and std, clean log-estimate mean and std) come from one fused
+    :meth:`~repro.phy.calibrate.CalibrationTable.surfaces_at` lookup,
+    and its bit split across the samples is cached per
+    ``(information bits, samples)``.  Without hints a frame costs
+    30-60 µs (replayed campaign frames, 2-vCPU x86-64 host, numpy 2.4;
+    the upper end on numpy's baseline loops).
 
     Example::
 
@@ -448,18 +508,36 @@ class SurrogatePhyBackend(PhyBackend):
                 f"calibration table covers {table.n_rates} rates but "
                 f"the rate table has {len(self.rates)}")
         self.table = table
-        #: per-(n_info, n_samples) bit-segment splits (pure function).
-        self._split_cache: dict = {}
+        #: per-(n_info, n_samples) bit splits (pure function).
+        self._segment_cache: dict = {}
 
-    def _split_bits(self, n_info: int, n_samples: int) -> np.ndarray:
-        """Spread ``n_info`` bits near-evenly over trajectory samples."""
+    def _segments(self, n_info: int, n_samples: int) -> _Segments:
+        """Spread ``n_info`` bits near-evenly over trajectory samples.
+
+        Trajectories finer than one bit per sample leave zero-bit
+        samples; they carry nothing and would break the segment
+        bookkeeping, so ``keep`` drops them.  Arrays are read-only
+        (shared by every frame of the same shape).
+        """
         key = (n_info, n_samples)
-        out = self._split_cache.get(key)
-        if out is None:
+        seg = self._segment_cache.get(key)
+        if seg is None:
             edges = np.round(np.linspace(0, n_info, n_samples + 1))
-            out = np.diff(edges).astype(np.int64)
-            self._split_cache[key] = out
-        return out
+            bits = np.diff(edges).astype(np.int64)
+            keep = bits > 0
+            if keep.all():
+                keep = None
+            else:
+                bits = bits[keep]
+            seg = _Segments(
+                bits=bits, bits_f=bits.astype(np.float64),
+                bits_sum=bits.sum(dtype=np.float64), keep=keep,
+                starts=np.concatenate(([0], np.cumsum(bits)[:-1])))
+            for arr in (seg.bits, seg.bits_f, seg.keep, seg.starts):
+                if arr is not None:
+                    arr.setflags(write=False)
+            self._segment_cache[key] = seg
+        return seg
 
     def frame_outcome(self, rate_index: int,
                       snr_db_per_symbol: np.ndarray,
@@ -484,10 +562,13 @@ class SurrogatePhyBackend(PhyBackend):
         estimate tracks the realized BER with the calibrated Fig.-7a
         decade noise on errored frames, and sits at the calibrated
         estimator floor on clean frames.
+
+        Raises:
+            ValueError: as :meth:`PhyBackend.frame_outcome`, or the mask
+                does not match the trajectory (before any draw).
         """
         table = self.table
-        trajectory = np.atleast_1d(
-            np.asarray(snr_db_per_symbol, dtype=np.float64))
+        trajectory = self._trajectory(snr_db_per_symbol)
         effective = trajectory
         if interference_mask is not None:
             mask = np.atleast_1d(np.asarray(interference_mask,
@@ -500,38 +581,35 @@ class SurrogatePhyBackend(PhyBackend):
                 effective[mask] = table.interference_snr_db(rate_index)
 
         n_info = self.aligned_payload_bits(n_payload_bits) + 32
-        bits = self._split_bits(n_info, effective.size)
-        # Trajectories finer than one bit per sample leave zero-bit
-        # segments; drop them (they carry nothing and would break the
-        # segment bookkeeping below).
-        keep = bits > 0
-        if not np.all(keep):
-            effective = effective[keep]
-            bits = bits[keep]
+        seg = self._segments(n_info, effective.size)
+        bits = seg.bits
+        if seg.keep is not None:
+            effective = effective[seg.keep]
 
-        # Segment failures from the calibrated per-bit hazard.  All
-        # surface lookups below share one set of grid weights — the
-        # per-frame cost of five independent interpolations is what
-        # the slot-synchronous MAC engine's throughput rides on.
-        weights = table.grid_weights(effective)
-        lam = table.hazard_at(rate_index, weights)
-        p_fail = -np.expm1(-lam * bits)
+        # One lookup serves every surface below; the per-frame cost
+        # of this path is what campaign throughput rides on.
+        (log_hazard, errored_log_ber, errored_log_ber_std,
+         clean_log_est, clean_log_est_std) = table.surfaces_at(
+             rate_index, effective)
+
+        # Segment failures from the calibrated per-bit hazard.
+        lam = 10.0 ** log_hazard
+        p_fail = -np.expm1(-lam * seg.bits_f)
         failed = rng.random(effective.size) < p_fail
         any_failed = bool(failed.any())
 
-        errors = np.zeros(effective.size, dtype=np.int64)
+        n_errors = 0
         if any_failed:
             seg_log_ber = rng.normal(
-                table.errored_log_ber_at(rate_index, weights),
-                np.maximum(table.errored_log_ber_std_at(rate_index,
-                                                        weights), 1e-6))
+                errored_log_ber, np.maximum(errored_log_ber_std, 1e-6))
             seg_ber = np.minimum(10.0 ** seg_log_ber, 0.5)
             draw = rng.binomial(bits, np.where(failed, seg_ber, 0.0))
             errors = np.where(failed, np.maximum(draw, 1), 0)
-        n_errors = int(errors.sum())
+            n_errors = int(errors.sum())
 
-        snr_est = float(trajectory[0] + table.snr_bias(trajectory[0])
-                        + rng.normal(0.0, table.snr_std(trajectory[0])))
+        first = trajectory[0]
+        snr_est = float(first + table.snr_bias(first)
+                        + rng.normal(0.0, table.snr_std(first)))
         # Detection gates on the *estimated* preamble SNR, exactly as
         # the full backend's receiver does.
         detected = bool(snr_est >= DETECTION_SNR_DB)
@@ -540,17 +618,17 @@ class SurrogatePhyBackend(PhyBackend):
         # segments (the estimator tracks the channel, Fig. 7a), the
         # calibrated clean-frame floor otherwise; one frame-level
         # decade-noise factor on top.
-        clean_level = 10.0 ** table.clean_log_est_at(rate_index, weights)
+        clean_level = 10.0 ** clean_log_est
         if any_failed:
             level = np.where(
-                failed,
-                np.maximum(errors / np.maximum(bits, 1), 1e-12),
+                failed, np.maximum(errors / seg.bits_f, 1e-12),
                 clean_level)
             sigma = table.est_noise_decades
         else:
             level = clean_level
-            sigma = float(np.mean(
-                table.clean_log_est_std_at(rate_index, weights)))
+            # np.mean's sum-then-divide, without its wrapper.
+            sigma = float(clean_log_est_std.sum()
+                          / clean_log_est_std.size)
         noise = 10.0 ** rng.normal(0.0, max(sigma, 1e-6))
         level = np.minimum(level * noise, 0.5)
 
@@ -565,16 +643,15 @@ class SurrogatePhyBackend(PhyBackend):
             # Rescale each segment's mean p onto its target level so
             # the hint *pattern* carries the trajectory (what the
             # interference detector and PPR consume).
-            sums = np.add.reduceat(
-                p, np.concatenate(([0], np.cumsum(bits)[:-1])))
-            means = sums / np.maximum(bits, 1)
+            means = np.add.reduceat(p, seg.starts) / seg.bits_f
             scale = np.where(means > 0,
                              level / np.maximum(means, 1e-300), 1.0)
             p = np.clip(p * np.repeat(scale, bits), 1e-12, 0.5)
             hints = np.log1p(-p) - np.log(p)      # |LLR| = ln((1-p)/p)
             ber_est = float(np.mean(p))
         else:
-            ber_est = float(np.average(level, weights=bits))
+            # np.average(level, weights=bits), without its wrapper.
+            ber_est = float((level * seg.bits_f).sum() / seg.bits_sum)
         ber_est = min(ber_est, 0.5)
 
         error_mask = None
@@ -585,11 +662,10 @@ class SurrogatePhyBackend(PhyBackend):
             # callers (and the goldens built on it) is untouched.
             error_mask = np.zeros(n_info, dtype=bool)
             if any_failed:
-                starts = np.concatenate(([0], np.cumsum(bits)[:-1]))
-                for seg in np.flatnonzero(errors):
-                    pos = rng.choice(int(bits[seg]), int(errors[seg]),
+                for s in np.flatnonzero(errors):
+                    pos = rng.choice(int(bits[s]), int(errors[s]),
                                      replace=False)
-                    error_mask[starts[seg] + pos] = True
+                    error_mask[seg.starts[s] + pos] = True
 
         return PhyFrameOutcome(
             detected=detected,

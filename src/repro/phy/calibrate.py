@@ -69,7 +69,10 @@ class CalibrationTable:
 
     All 2-D arrays are indexed ``[rate, snr_point]``.  Lookup methods
     interpolate linearly in dB (log-domain for BER/hazard) and clamp
-    at the grid edges.
+    at the grid edges.  The five surfaces the surrogate reads for
+    every frame are also stacked once per table into one
+    ``(n_rates, 5, n_snr)`` array, which :meth:`surfaces_at` reads
+    with a single grid search and gather.
 
     Attributes:
         snr_grid_db: the calibration SNR grid (dB), ascending.
@@ -144,6 +147,18 @@ class CalibrationTable:
         self._log_q = self._extend_waterfalls()
         self._log_hazard = self._per_bit_hazard()
         self._interference_snr = {}
+        # What surfaces_at reads: the interior grid points (one search
+        # lands on the bracketing interval, clamped at both ends), the
+        # interval widths, and the five per-frame surfaces stacked
+        # (rate, surface, snr) so one gather serves all five.
+        self._grid_inner = grid[1:-1].copy()
+        self._grid_step = grid[1:] - grid[:-1]
+        self._surfaces = np.ascontiguousarray(np.stack(
+            [self._log_hazard, self._errored_log_ber,
+             self._errored_log_ber_std, self._clean_log_est,
+             self._clean_log_est_std], axis=1))
+        for name in ("_grid_inner", "_grid_step", "_surfaces"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_rates(self) -> int:
@@ -239,52 +254,28 @@ class CalibrationTable:
 
     # -- lookups ------------------------------------------------------
 
-    def grid_weights(self, snr_db) -> tuple:
-        """Interpolation weights of SNR value(s) on the table's grid.
+    def surfaces_at(self, rate_index: int, snr_db: np.ndarray) -> np.ndarray:
+        """The surrogate's five per-frame surfaces at 1-D SNR values.
 
-        One ``searchsorted`` produces an ``(i0, i1, frac)`` triple
-        that every surface lookup (:meth:`hazard_at`, the errored and
-        clean BER levels) can reuse — the surrogate's per-frame hot
-        path queries five surfaces at the same trajectory SNRs, and
-        independent ``np.interp`` calls would redo the grid search
-        five times.  Out-of-range values clamp to the grid ends,
-        matching ``np.interp``.
+        Returns a C-contiguous ``(5, n)`` block whose rows are, in
+        order: ``log10`` of the per-bit hazard (:meth:`hazard`),
+        errored-frame ``log10 BER`` mean and std, and clean-frame
+        ``log10`` estimate mean and std.  One grid search and one pair
+        of gathers serve all five, each value interpolated as
+        ``row[i0] * (1 - frac) + row[i1] * frac`` between the grid
+        points around it, ``frac`` clipped to ``[0, 1]`` so values
+        past either grid end take that end's value (as ``np.interp``
+        does).  Each row is contiguous, which keeps numpy's
+        transcendental loops (``10.0 ** row``) on one code path.
         """
         x = np.asarray(snr_db, dtype=np.float64)
-        g = self.snr_grid_db
-        i1 = np.clip(np.searchsorted(g, x), 1, g.size - 1)
-        i0 = i1 - 1
-        frac = np.clip((x - g[i0]) / (g[i1] - g[i0]), 0.0, 1.0)
-        return i0, i1, frac
-
-    @staticmethod
-    def _at(surface_row: np.ndarray, weights: tuple) -> np.ndarray:
-        i0, i1, frac = weights
-        return surface_row[i0] * (1.0 - frac) + surface_row[i1] * frac
-
-    def hazard_at(self, rate_index: int, weights: tuple) -> np.ndarray:
-        """:meth:`hazard` via precomputed :meth:`grid_weights`."""
-        return 10.0 ** self._at(self._log_hazard[rate_index], weights)
-
-    def errored_log_ber_at(self, rate_index: int,
-                           weights: tuple) -> np.ndarray:
-        """:meth:`errored_log_ber` via :meth:`grid_weights`."""
-        return self._at(self._errored_log_ber[rate_index], weights)
-
-    def errored_log_ber_std_at(self, rate_index: int,
-                               weights: tuple) -> np.ndarray:
-        """:meth:`errored_log_ber_std` via :meth:`grid_weights`."""
-        return self._at(self._errored_log_ber_std[rate_index], weights)
-
-    def clean_log_est_at(self, rate_index: int,
-                         weights: tuple) -> np.ndarray:
-        """:meth:`clean_log_est` via :meth:`grid_weights`."""
-        return self._at(self._clean_log_est[rate_index], weights)
-
-    def clean_log_est_std_at(self, rate_index: int,
-                             weights: tuple) -> np.ndarray:
-        """:meth:`clean_log_est_std` via :meth:`grid_weights`."""
-        return self._at(self._clean_log_est_std[rate_index], weights)
+        i0 = self._grid_inner.searchsorted(x)
+        frac = ((x - self.snr_grid_db[i0])
+                / self._grid_step[i0]).clip(0.0, 1.0)
+        block = self._surfaces[rate_index]
+        out = block.take(i0, axis=1) * (1.0 - frac)
+        out += block.take(i0 + 1, axis=1) * frac
+        return out
 
     def bit_error_rate(self, rate_index: int, snr_db) -> np.ndarray:
         """Calibrated mean BER at the given SNR(s)."""

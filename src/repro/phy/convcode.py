@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -67,7 +68,10 @@ def _parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
+@lru_cache(maxsize=None)
 def _build_trellis(constraint_length: int, g0: int, g1: int) -> Trellis:
+    """The code's trellis, built once per process and shared read-only
+    by every :class:`ConvolutionalCode` with the same generators."""
     n_states = 1 << (constraint_length - 1)
     next_state = np.zeros((n_states, 2), dtype=np.int64)
     outputs = np.zeros((n_states, 2, 2), dtype=np.uint8)
@@ -88,6 +92,8 @@ def _build_trellis(constraint_length: int, g0: int, g1: int) -> Trellis:
             seen[nxt] += 1
     if not np.all(seen == 2):
         raise AssertionError("trellis is not 2-regular; bad generators")
+    for table in (next_state, outputs, prev_state, prev_input):
+        table.setflags(write=False)
     return Trellis(n_states=n_states, next_state=next_state,
                    outputs=outputs, prev_state=prev_state,
                    prev_input=prev_input)

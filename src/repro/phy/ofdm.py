@@ -28,14 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.phy.convcode import (ConvolutionalCode, PUNCTURE_PATTERNS,
                                 n_coded_bits)
 
-__all__ = ["FrameLayout", "training_symbols", "info_bit_symbol_map"]
+__all__ = ["FrameLayout", "training_symbols", "info_bit_symbol_map",
+           "RegionSymbols", "region_symbols"]
 
 _TRAINING_SEED = 0x50F7
 
@@ -144,6 +145,29 @@ class FrameLayout:
         return self.n_symbols * symbol_time
 
 
+class RegionSymbols(NamedTuple):
+    """OFDM geometry of one coded region (header or body)."""
+
+    n_coded_bits: int       # after puncturing, before padding
+    n_symbols: int
+    pad_bits: int
+
+
+@lru_cache(maxsize=None)
+def region_symbols(n_info_bits: int, n_tail_bits: int,
+                   code_rate: Fraction, block_bits: int) -> RegionSymbols:
+    """Coded bits, OFDM symbols and pad bits of one coded region.
+
+    The one place symbol counts are computed, for frame layouts and
+    airtimes alike.  ``block_bits`` is the region's coded bits per OFDM
+    symbol.  Memoised for the process: a simulation asks for the same
+    few (size, rate) pairs again and again, from fresh transceivers.
+    """
+    n_coded = n_coded_bits(n_info_bits + n_tail_bits, code_rate)
+    n_symbols = -(-n_coded // block_bits)
+    return RegionSymbols(n_coded, n_symbols, n_symbols * block_bits - n_coded)
+
+
 def build_layout(n_payload_bits: int, rate_index: int, body_modulation: str,
                  body_bits_per_symbol: int, body_code_rate: Fraction,
                  header_modulation: str, header_bits_per_symbol: int,
@@ -154,20 +178,12 @@ def build_layout(n_payload_bits: int, rate_index: int, body_modulation: str,
     if n_payload_bits % 8 != 0:
         raise ValueError("payload must be byte-aligned")
     n_body_info = n_payload_bits + 32          # + CRC-32
-    n_body_mother = 2 * (n_body_info + code.n_tail_bits)
-    n_body_coded = n_coded_bits(n_body_info + code.n_tail_bits,
-                                body_code_rate)
     body_block = body_bits_per_symbol * n_subcarriers
-    n_body_symbols = -(-n_body_coded // body_block)
-    body_pad = n_body_symbols * body_block - n_body_coded
-
-    n_header_mother = 2 * (n_header_bits + code.n_tail_bits)
-    n_header_coded = n_coded_bits(n_header_bits + code.n_tail_bits,
-                                  header_code_rate)
-    header_block = header_bits_per_symbol * n_subcarriers
-    n_header_symbols = -(-n_header_coded // header_block)
-    header_pad = n_header_symbols * header_block - n_header_coded
-
+    body = region_symbols(n_body_info, code.n_tail_bits, body_code_rate,
+                          body_block)
+    header = region_symbols(n_header_bits, code.n_tail_bits,
+                            header_code_rate,
+                            header_bits_per_symbol * n_subcarriers)
     info_symbol = info_bit_symbol_map(n_body_info, code.n_tail_bits,
                                       body_code_rate, body_block)
     info_symbol.setflags(write=False)
@@ -180,15 +196,15 @@ def build_layout(n_payload_bits: int, rate_index: int, body_modulation: str,
         header_modulation=header_modulation,
         header_code_rate=header_code_rate,
         n_preamble_symbols=n_preamble_symbols,
-        n_header_symbols=n_header_symbols,
-        n_body_symbols=n_body_symbols,
+        n_header_symbols=header.n_symbols,
+        n_body_symbols=body.n_symbols,
         has_postamble=has_postamble,
         n_body_info_bits=n_body_info,
-        n_body_mother_bits=n_body_mother,
-        n_body_coded_bits=n_body_coded,
-        body_pad_bits=body_pad,
-        n_header_mother_bits=n_header_mother,
-        n_header_coded_bits=n_header_coded,
-        header_pad_bits=header_pad,
+        n_body_mother_bits=2 * (n_body_info + code.n_tail_bits),
+        n_body_coded_bits=body.n_coded_bits,
+        body_pad_bits=body.pad_bits,
+        n_header_mother_bits=2 * (n_header_bits + code.n_tail_bits),
+        n_header_coded_bits=header.n_coded_bits,
+        header_pad_bits=header.pad_bits,
         info_symbol=info_symbol,
     )

@@ -33,7 +33,8 @@ from repro.phy.convcode import ConvolutionalCode, depuncture, puncture
 from repro.phy.frame import HEADER_BITS, LinkHeader
 from repro.phy.interleaver import deinterleave, interleave
 from repro.phy.modulation import CONSTELLATIONS, modulate, soft_demap
-from repro.phy.ofdm import FrameLayout, build_layout, training_symbols
+from repro.phy.ofdm import (FrameLayout, build_layout, region_symbols,
+                            training_symbols)
 from repro.phy.rates import MODES, RATE_TABLE, OperatingMode, RateTable
 from repro.phy.snr import estimate_preamble_snr
 from repro.phy.viterbi import viterbi_decode
@@ -180,9 +181,20 @@ class Transceiver:
             has_postamble=has_postamble, n_header_bits=HEADER_BITS)
 
     def frame_airtime(self, n_payload_bits: int, rate_index: int) -> float:
-        """Frame duration in seconds including preamble and postamble."""
-        layout = self.frame_layout(n_payload_bits, rate_index)
-        return layout.airtime(self.mode.symbol_time)
+        """Frame duration in seconds including preamble and postamble.
+
+        The symbol count :meth:`frame_layout` makes, without building
+        the layout's per-bit symbol map.
+        """
+        if n_payload_bits % 8 != 0:
+            raise ValueError("payload must be byte-aligned")
+        n_symbols = self.n_preamble_symbols + int(self.use_postamble)
+        for n_info, rate in ((HEADER_BITS, self.rates.lowest),
+                             (n_payload_bits + 32, self.rates[rate_index])):
+            n_symbols += region_symbols(
+                n_info, self.code.n_tail_bits, rate.code_rate,
+                rate.bits_per_symbol * self.mode.n_subcarriers).n_symbols
+        return n_symbols * self.mode.symbol_time
 
     def _encode_block(self, info_bits: np.ndarray, code_rate,
                       bits_per_symbol: int, pad: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.phy.backend import (BACKEND_NAMES, DETECTION_SNR_DB,
                                FullPhyBackend, PhyBackend,
@@ -224,6 +225,27 @@ class TestCalibrationTable:
         with pytest.raises(ValueError, match="version"):
             CalibrationTable.from_dict(data)
 
+    def test_surfaces_at_matches_each_surface_bytewise(self):
+        # Grid points, midpoints, both ends, beyond them and signed
+        # zero; bytes, so even a zero's sign counts.
+        table = default_table()
+        g = table.snr_grid_db
+        snr = np.concatenate([g, g[:-1] + 0.37,
+                              [-40.0, -np.inf, 60.0, 0.0, -0.0]])
+        i1 = np.clip(np.searchsorted(g, snr), 1, g.size - 1)
+        frac = np.clip((snr - g[i1 - 1]) / (g[i1] - g[i1 - 1]), 0.0, 1.0)
+        surfaces = (table._log_hazard, table._errored_log_ber,
+                    table._errored_log_ber_std, table._clean_log_est,
+                    table._clean_log_est_std)
+        for rate in range(table.n_rates):
+            block = table.surfaces_at(rate, snr)
+            assert block.shape == (5, snr.size)
+            assert block.flags.c_contiguous
+            for got, surface in zip(block, surfaces):
+                row = surface[rate]
+                want = row[i1 - 1] * (1.0 - frac) + row[i1] * frac
+                assert got.tobytes() == want.tobytes()
+
     def test_interference_snr_within_grid(self):
         table = default_table()
         lo, hi = table.snr_grid_db[0], table.snr_grid_db[-1]
@@ -266,6 +288,10 @@ class TestTinyCalibration:
                            loaded.bit_error_rate(5, np.array([8.0])))
 
 
+_BACKENDS = {"full": FullPhyBackend(),
+             "surrogate": SurrogatePhyBackend(default_table())}
+
+
 class TestContractEdges:
     """Edge cases of the shared frame_outcome contract."""
 
@@ -302,6 +328,75 @@ class TestContractEdges:
         with pytest.raises(ValueError, match="do not match"):
             backend.observe(trace, 0.0, 3, 368,
                             np.random.default_rng(0))
+
+    def test_freed_trace_does_not_validate_its_successor(self):
+        # Validation is remembered per live trace.  CPython hands a
+        # freed object's id to the next allocation, so a memo keyed by
+        # id let eight-rate traces skip the check after a six-rate one
+        # was observed and freed.
+        from repro.traces.synthetic import constant_trace
+
+        backend = SurrogatePhyBackend(default_table())
+        for _ in range(100):
+            six = constant_trace(best_rate=5, duration=0.1)
+            backend.observe(six, 0.0, 3, 368, np.random.default_rng(0))
+            del six
+            eight = constant_trace(best_rate=5, duration=0.1,
+                                   rates=RATE_TABLE)
+            with pytest.raises(ValueError, match="trace has 8 rates"):
+                backend.observe(eight, 0.0, 3, 368,
+                                np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_backend_pickles_and_still_validates(self, name):
+        import pickle
+
+        from repro.traces.synthetic import constant_trace
+
+        backend = _BACKENDS[name]
+        six = constant_trace(best_rate=5, duration=0.1)
+        backend.observe(six, 0.0, 3, 368, np.random.default_rng(0))
+        copy = pickle.loads(pickle.dumps(backend))
+        assert copy.observe(six, 0.0, 3, 368, np.random.default_rng(0)) \
+            == backend.observe(six, 0.0, 3, 368, np.random.default_rng(0))
+        eight = constant_trace(best_rate=5, duration=0.1, rates=RATE_TABLE)
+        with pytest.raises(ValueError, match="trace has 8 rates"):
+            copy.observe(eight, 0.0, 3, 368, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_nan_or_inf_snr_rejected_before_any_draw(self, name, data):
+        n = data.draw(st.integers(1, 12))
+        snr = np.array(data.draw(st.lists(
+            st.floats(-5.0, 30.0) | st.just(-np.inf),
+            min_size=n, max_size=n)))
+        first = data.draw(st.integers(0, n - 1))
+        snr[first] = data.draw(st.sampled_from([np.nan, np.inf]))
+        if first + 1 < n:       # a later bad sample must not hide it
+            later = data.draw(st.integers(first + 1, n - 1))
+            snr[later] = data.draw(st.sampled_from([np.nan, np.inf]))
+        mask = data.draw(st.none() | st.just(np.arange(n) % 2 == 0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"SNR sample {first} is"):
+            _BACKENDS[name].frame_outcome(
+                data.draw(st.integers(0, 5)), snr,
+                data.draw(st.integers(1, 2000)), rng,
+                interference_mask=mask)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_no_signal_is_an_undetected_frame(self, name):
+        out = _BACKENDS[name].frame_outcome(
+            2, np.full(4, -np.inf), 368, np.random.default_rng(0))
+        assert not out.detected and not out.delivered
+
+    def test_empty_trajectory_rejected(self):
+        backend = SurrogatePhyBackend(default_table())
+        with pytest.raises(ValueError, match="no samples"):
+            backend.frame_outcome(0, np.array([]), 368,
+                                  np.random.default_rng(0))
 
     def test_airtime_uses_full_frame_geometry(self):
         # Preamble + header + body + postamble — the airtime the MAC
