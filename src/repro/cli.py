@@ -204,11 +204,16 @@ def _cmd_thresholds(args) -> int:
 def _cmd_simulate(args) -> int:
     from repro.experiments.common import protocol_factory
     from repro.sim.topology import run_mac_contention, run_tcp_uplink
-    from repro.traces.workloads import walking_traces
+    from repro.traces.workloads import downlink_seed, walking_traces
 
     if args.engine == "slot" and args.workload != "mac":
         raise SystemExit("error: --engine slot requires "
                          "--workload mac (see docs/slotmac.md)")
+    if args.workload == "tcp":
+        try:
+            down_seed = downlink_seed(args.seed, args.clients)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
     uplinks = walking_traces(args.clients, seed=args.seed)
     factory = protocol_factory(args.protocol,
                                training_trace=uplinks[0])
@@ -226,7 +231,7 @@ def _cmd_simulate(args) -> int:
         per_flow = result.per_client_mbps
         label = f"mac/{args.engine}"
     else:
-        downlinks = walking_traces(args.clients, seed=args.seed + 50)
+        downlinks = walking_traces(args.clients, seed=down_seed)
         result = run_tcp_uplink(uplinks, downlinks, factory,
                                 n_clients=args.clients,
                                 duration=args.duration,

@@ -20,7 +20,7 @@ from repro.experiments.api import register_experiment
 from repro.experiments.common import (averaged_tcp_throughput,
                                       standard_algorithms)
 from repro.traces.format import LinkTrace
-from repro.traces.workloads import walking_traces
+from repro.traces.workloads import downlink_seed, walking_traces
 
 __all__ = ["SlowFadingResult", "run_fig13"]
 
@@ -75,10 +75,11 @@ def run_fig13(client_counts: Sequence[int] = (1, 2, 3, 4, 5),
             omniscient baseline still reads the precomputed trace).
     """
     n_max = max(client_counts)
+    if downlink_traces is None:
+        downlink_traces = walking_traces(
+            n_max, seed=downlink_seed(trace_seed, n_max))
     if uplink_traces is None:
         uplink_traces = walking_traces(n_max, seed=trace_seed)
-    if downlink_traces is None:
-        downlink_traces = walking_traces(n_max, seed=trace_seed + 50)
     if algorithms is None:
         algorithms = standard_algorithms(uplink_traces[0])
 

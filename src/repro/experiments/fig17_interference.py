@@ -26,7 +26,8 @@ from repro.experiments.api import register_experiment
 from repro.experiments.common import (averaged_tcp_throughput,
                                       rraa_factory, samplerate_factory,
                                       softrate_factory)
-from repro.traces.workloads import static_short_range_traces
+from repro.traces.workloads import (downlink_seed,
+                                    static_short_range_traces)
 
 __all__ = ["InterferenceTcpResult", "run_fig17"]
 
@@ -65,9 +66,10 @@ def run_fig17(cs_probabilities: Sequence[float] = (0.0, 0.4, 0.8, 1.0),
               trace_seed: int = 17, accuracy_cs: float = 0.8,
               mean_snr_db: float = 16.0) -> InterferenceTcpResult:
     """Run the interference-dominated TCP experiment."""
+    down_seed = downlink_seed(trace_seed, n_clients)
     up = static_short_range_traces(n_clients, seed=trace_seed,
                                    mean_snr_db=mean_snr_db)
-    down = static_short_range_traces(n_clients, seed=trace_seed + 50,
+    down = static_short_range_traces(n_clients, seed=down_seed,
                                      mean_snr_db=mean_snr_db)
     algorithms = [
         ("SoftRate (Ideal)", softrate_factory,

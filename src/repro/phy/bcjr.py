@@ -53,6 +53,7 @@ import weakref
 import numpy as np
 
 from repro.phy.convcode import ConvolutionalCode, Trellis, check_llr_stack
+from repro.phy.logsumexp import logsumexp_rows
 
 __all__ = ["bcjr_decode", "bcjr_decode_batch", "BcjrResult",
            "BcjrBatchResult"]
@@ -132,28 +133,6 @@ def _butterfly(code: ConvolutionalCode) -> _Butterfly:
     if tables is None:
         tables = _BUTTERFLIES[code] = _Butterfly(code.trellis)
     return tables
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over the last axis of ``a``, consuming ``a``.
-
-    Bit-identical to ``scipy.special.logsumexp(a, axis=-1)`` (scipy >=
-    1.15 algorithm) for the finite inputs the trellis produces
-    (``_NEG_INF`` is a large finite float, so the row max is always
-    finite): the maximal elements are pulled out of the sum, the rest
-    is scaled by their multiplicity ``m``, and the result is
-    ``log1p(s) + log(m) + a_max``.  The row sum's rounding depends on
-    element order, so rows must be in natural state order.
-    """
-    mx = np.amax(a, axis=-1, keepdims=True)
-    mask = a == mx                             # maximal elements
-    m = np.sum(mask, axis=-1, dtype=a.dtype)
-    np.subtract(a, mx, out=a)
-    np.exp(a, out=a)
-    a[mask] = 0.0                              # exclude the maxima
-    s = np.sum(a, axis=-1)
-    np.divide(s, m, out=s, where=s != 0)       # s == 0 stays 0
-    return np.log1p(s) + np.log(m) + mx[..., 0]
 
 
 class BcjrResult:
@@ -311,7 +290,9 @@ def bcjr_decode_batch(code: ConvolutionalCode, channel_llrs: np.ndarray,
         np.add(scores, np.take(beta_next, tables.score_beta, axis=1),
                out=rows.transpose(0, 1, 3, 2))
         if combine is np.logaddexp:
-            lse = _logsumexp_rows(rows)
+            # Finite rows (_NEG_INF is a large finite float), in
+            # natural state order, so the bits match scipy's.
+            lse = logsumexp_rows(rows)
         else:
             lse = np.amax(rows, axis=-1)
         np.subtract(lse[:, 1], lse[:, 0], out=posterior[:, t0:t1].T)

@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
+
+from repro.phy.logsumexp import logsumexp_rows
 
 __all__ = [
     "Constellation",
@@ -176,24 +177,32 @@ def soft_demap_batch(received: np.ndarray, modulation: str,
     Returns:
         Float array of shape ``(n_frames, n_symbols *
         bits_per_symbol)``, bit-identical to demapping each row alone.
+
+    Raises:
+        ValueError: non-finite symbols or gains, or a noise variance
+            that is not positive.
     """
     const = CONSTELLATIONS[modulation]
     y = np.asarray(received, dtype=np.complex128)
     if y.ndim != 2:
         raise ValueError("soft_demap_batch expects a 2-D symbol array")
     n_frames, n_symbols = y.shape
+    if not np.isfinite(y).all():
+        raise ValueError("received symbols must be finite")
     if gains is None:
         gains = np.ones_like(y)
     else:
         gains = np.asarray(gains, dtype=np.complex128)
         if gains.shape != y.shape:
             raise ValueError("one channel gain per received symbol required")
+        if not np.isfinite(gains).all():
+            raise ValueError("channel gains must be finite")
     nv = np.asarray(noise_var, dtype=np.float64)
     if nv.ndim == 0:
         nv = np.full(n_frames, float(nv))
     elif nv.shape != (n_frames,):
         raise ValueError("noise_var must be scalar or one per frame")
-    if np.any(nv <= 0):
+    if not np.all(nv > 0):
         raise ValueError("noise variance must be positive")
 
     # Squared distances to each candidate point:
@@ -209,8 +218,8 @@ def soft_demap_batch(received: np.ndarray, modulation: str,
             llrs[:, :, i] = (metric[:, :, ones].max(axis=-1)
                              - metric[:, :, ~ones].max(axis=-1))
         else:
-            llrs[:, :, i] = (logsumexp(metric[:, :, ones], axis=-1)
-                             - logsumexp(metric[:, :, ~ones], axis=-1))
+            llrs[:, :, i] = (logsumexp_rows(metric[:, :, ones])
+                             - logsumexp_rows(metric[:, :, ~ones]))
     return llrs.reshape(n_frames, n_symbols * bps)
 
 

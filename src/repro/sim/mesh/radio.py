@@ -24,33 +24,30 @@ feedback — is reused unchanged over a *spatial* channel model:
 Carrier sense and collisions are *emergent*: a listener senses a
 transmitter iff the mean received SNR clears ``cs_threshold_snr_db``
 (hidden terminals are nodes out of carrier-sense range of each other
-but both audible at a middle receiver), every node keeps a receive
-buffer of the transmissions audible at it, and a concluding frame is
-checked against that buffer for temporal overlap with an SNR capture
-test — a much stronger interferer does not destroy the frame.  The
-surviving overlap cases follow the paper's section 3.2 taxonomy
-exactly as :class:`repro.sim.wireless.WirelessChannel` does:
-*collided* (receiver locked onto us; SoftPHY flags it with
-probability ``detect_prob``), *postamble* (preamble lost, postamble
-clean), or *silent*.
+but both audible at a middle receiver), and a concluding frame is
+checked for temporal overlap against its destination's receive buffer
+— the transmissions audible there, never global history, as in
+LoRaMesh's ``checkcollision`` — with an SNR capture test: a much
+stronger interferer does not destroy the frame.  The rest, from the
+exact history index to the section 3.2 taxonomy of the surviving
+overlap, is the :class:`repro.sim.wireless.SharedMedium` the
+trace-driven star channel also builds on.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.pathloss import LogDistancePathLoss
 from repro.channel.rayleigh import RayleighFadingProcess
-from repro.core.feedback import Feedback
-from repro.core.mix import mix64
 from repro.phy.backend import DETECTION_SNR_DB, get_backend
 from repro.phy.rates import RATE_TABLE, RateTable
 from repro.sim.mesh.geometry import MeshGeometry
-from repro.sim.wireless import (COLLISION_BER, FrameFate, Transmission,
-                                occupancy_window)
+from repro.sim.wireless import SharedMedium, Transmission, _interferes
 from repro.traces.format import FrameObservation
 
 __all__ = ["MeshChannel", "RxBufferEntry"]
@@ -84,7 +81,7 @@ class RxBufferEntry:
     rx_snr_db: float
 
 
-class MeshChannel:
+class MeshChannel(SharedMedium):
     """A spatial collision domain driven by geometry and a PHY backend.
 
     Args:
@@ -140,40 +137,27 @@ class MeshChannel:
                  cs_threshold_snr_db: float = 3.0,
                  capture_margin_db: float = 10.0,
                  rx_floor_snr_db: float = DETECTION_SNR_DB - 3.0):
-        if not 0.0 <= detect_prob <= 1.0:
-            raise ValueError("detect_prob must be a probability")
         if doppler_hz <= 0:
             raise ValueError("doppler_hz must be positive")
-        self.geometry = geometry
-        self.rng = rng
-        # Root of the per-attempt fate RNG streams (drawn first, so
-        # the channel's seed alone pins every fate stream).
-        self._fate_seed = int(rng.integers(0, 2 ** 63))
         self.rates = rates if rates is not None \
             else RATE_TABLE.prototype_subset()
-        self.phy = get_backend(phy_backend, rates=self.rates)
+        super().__init__(rng, detect_prob, use_postambles,
+                         get_backend(phy_backend, rates=self.rates))
+        self.geometry = geometry
         self.pathloss = pathloss if pathloss is not None \
             else LogDistancePathLoss()
         self.tx_power_dbm = tx_power_dbm
         self.noise_floor_dbm = noise_floor_dbm
         self.link_seed = int(link_seed)
         self.doppler_hz = doppler_hz
-        self.detect_prob = detect_prob
-        self.use_postambles = use_postambles
         self.cs_threshold_snr_db = cs_threshold_snr_db
         self.capture_margin_db = capture_margin_db
         self.rx_floor_snr_db = rx_floor_snr_db
-        #: station registry (filled by Station.__init__).
-        self.stations: Dict[int, Any] = {}
-        self._active: List[Transmission] = []
-        self._history: List[Transmission] = []
         #: per-node receive buffers: transmissions audible at the node.
-        self._rx_buffers: Dict[int, List[RxBufferEntry]] = {}
+        self._rx_buffers: Dict[int, Deque[RxBufferEntry]] = {}
         self._shadow: Dict[Tuple[int, int], float] = {}
         self._fading: Dict[Tuple[int, int], RayleighFadingProcess] = {}
-        self.stats = {"clean": 0, "collided": 0, "postamble": 0,
-                      "silent": 0, "undetected_collisions": 0,
-                      "captured": 0}
+        self.stats["captured"] = 0
 
     # -- link model ---------------------------------------------------------
 
@@ -235,56 +219,13 @@ class MeshChannel:
         power = np.maximum(np.abs(gains) ** 2, _SNR_LINEAR_FLOOR)
         return mean_db + 10.0 * np.log10(power)
 
-    # -- carrier sense ------------------------------------------------------
+    # -- the medium's hooks -------------------------------------------------
 
     def _senses(self, listener: int, tx: Transmission) -> bool:
-        """Whether ``listener`` carrier-senses this transmission.
-
-        Deterministic in geometry: the mean received SNR at the
-        transmission's start must clear the sensing threshold.  Cached
-        per (transmission, listener) so the decision is sticky for the
-        transmission's lifetime.
-        """
-        if tx.frame.src == listener:
-            return True
-        if listener not in tx.sensed_by:
-            tx.sensed_by[listener] = bool(
-                self.mean_snr_db(tx.frame.src, listener, tx.start)
-                >= self.cs_threshold_snr_db)
-        return tx.sensed_by[listener]
-
-    def busy_window(self, listener: int, now: float
-                    ) -> Optional[Tuple[float, float]]:
-        """The busy period ``listener`` currently senses, as a
-        ``(start, end)`` pair over the reserved occupancy of every
-        sensed in-flight transmission — or ``None`` when idle (which
-        it can be while a *hidden* node is transmitting).
-        """
-        self._prune(now)
-        since = until = None
-        for tx in self._active:
-            occ_start, occ_end = occupancy_window(tx)
-            if occ_end <= now:
-                continue
-            if self._senses(listener, tx):
-                since = occ_start if since is None \
-                    else min(since, occ_start)
-                until = occ_end if until is None \
-                    else max(until, occ_end)
-        if until is None:
-            return None
-        return since, until
-
-    def medium_busy_until(self, listener: int, now: float
-                          ) -> Optional[float]:
-        """Latest reserved-occupancy end of sensed transmissions.
-
-        Returns ``None`` when the medium appears idle to ``listener``.
-        """
-        window = self.busy_window(listener, now)
-        return None if window is None else window[1]
-
-    # -- transmission -------------------------------------------------------
+        """Deterministic in geometry: the mean received SNR at the
+        transmission's start must clear the sensing threshold."""
+        return bool(self.mean_snr_db(tx.frame.src, listener, tx.start)
+                    >= self.cs_threshold_snr_db)
 
     def begin_transmission(self, tx: Transmission) -> None:
         """Register an in-flight frame and fan it into receive buffers.
@@ -292,83 +233,52 @@ class MeshChannel:
         Every node whose mean received SNR clears ``rx_floor_snr_db``
         gets an entry (with that SNR) appended to its buffer — the
         per-node record the SNR/timing collision checks run against
-        when overlapping frames conclude.
+        when overlapping frames conclude.  A buffer is pruned by the
+        history's exact rule as it grows.
         """
-        self._active.append(tx)
-        self._history.append(tx)
+        super().begin_transmission(tx)
         src = tx.frame.src
         for node in self.geometry.node_ids():
             if node == src:
                 continue
             rx_snr = self.mean_snr_db(src, node, tx.start)
             if rx_snr >= self.rx_floor_snr_db:
-                self._rx_buffers.setdefault(node, []).append(
-                    RxBufferEntry(tx=tx, rx_snr_db=rx_snr))
+                buffer = self._rx_buffers.setdefault(node, deque())
+                while buffer and buffer[0].tx.end <= self._cutoff:
+                    buffer.popleft()
+                buffer.append(RxBufferEntry(tx=tx, rx_snr_db=rx_snr))
 
-    def _prune(self, now: float, horizon: float = 0.1) -> None:
-        self._active = [t for t in self._active
-                        if occupancy_window(t)[1] > now]
-        if len(self._history) > 4096:
-            self._history = [t for t in self._history
-                             if t.end > now - horizon]
-            for node, buffer in self._rx_buffers.items():
-                self._rx_buffers[node] = [
-                    e for e in buffer if e.tx.end > now - horizon]
+    def _overlapping(self, tx: Transmission) -> List[RxBufferEntry]:
+        """Receive-buffer entries at the destination overlapping
+        ``tx`` (feedback frames and our own source's excluded, as in
+        the star channel)."""
+        return [entry for entry in self._rx_buffers.get(tx.frame.dest, ())
+                if _interferes(tx, entry.tx)]
 
-    def _interferers(self, tx: Transmission) -> List[RxBufferEntry]:
-        """Receive-buffer entries at the destination overlapping ``tx``.
-
-        Feedback frames are excluded (they occupy the reserved
-        post-SIFS slot, as in the star-topology model), as are other
-        transmissions by our own source.
-        """
-        buffer = self._rx_buffers.get(tx.frame.dest, ())
-        out = []
-        for entry in buffer:
-            other = entry.tx
-            if other is tx or other.frame.is_feedback:
-                continue
-            if other.frame.src == tx.frame.src:
-                continue
-            if other.start < tx.end and tx.start < other.end:
-                out.append(entry)
-        return out
-
-    def _receiver_deaf(self, tx: Transmission) -> bool:
-        """Half-duplex: the destination was itself transmitting."""
-        for other in self._history:
-            if other is tx or other.frame.src != tx.frame.dest:
-                continue
-            if other.start < tx.end and tx.start < other.end:
-                return True
-        return False
-
-    def attempt_rng(self, tx: Transmission) -> np.random.Generator:
-        """The fate RNG stream of one transmission attempt.
-
-        Derived from the channel's fate seed and the attempt's
-        identity ``(src, dest, attempt)`` — same contract as
-        :meth:`repro.sim.wireless.WirelessChannel.attempt_rng`, so
-        fates are independent of the order concurrent transmissions
-        conclude in.
-        """
-        return np.random.Generator(np.random.PCG64(mix64(
-            self._fate_seed, tx.frame.src, tx.frame.dest, tx.attempt)))
-
-    def _observe(self, tx: Transmission,
+    def _observe(self, link, tx: Transmission,
                  rng: np.random.Generator) -> FrameObservation:
         """Clean-channel observation from the geometry-derived SNR
         trajectory, through the configured PHY backend."""
         trajectory = self.snr_trajectory(tx.frame.src, tx.frame.dest,
                                          tx.start, tx.end)
-        out = self.phy.frame_outcome(tx.rate_index, trajectory,
-                                     tx.frame.payload_bits, rng,
-                                     need_hints=False)
+        out = self.phy_backend.frame_outcome(
+            tx.rate_index, trajectory, tx.frame.payload_bits, rng,
+            need_hints=False)
         return FrameObservation(
             detected=out.detected,
             delivered=out.detected and out.delivered,
             ber_true=out.ber_true, ber_est=out.ber_est,
             snr_db=out.snr_db, slot=0)
+
+    def _interference(self, tx: Transmission,
+                      overlapping: List[RxBufferEntry]
+                      ) -> List[Transmission]:
+        """No interference if ``tx`` captures its receiver, else every
+        overlapping transmission."""
+        if self._captures(tx, overlapping):
+            self.stats["captured"] += 1
+            return []
+        return [entry.tx for entry in overlapping]
 
     def _captures(self, tx: Transmission,
                   interferers: List[RxBufferEntry]) -> bool:
@@ -387,76 +297,3 @@ class MeshChannel:
             return True
         sinr_db = our_db - 10.0 * np.log10(interference)
         return bool(sinr_db >= self.capture_margin_db)
-
-    def conclude_transmission(self, tx: Transmission) -> FrameFate:
-        """Compute the fate of ``tx`` (called by the MAC at t=end).
-
-        Order of checks: half-duplex deafness, PHY detection, capture
-        over any overlap, then the section 3.2 overlap taxonomy
-        (collided / postamble / silent) — identical semantics to the
-        trace-driven channel, with the overlap set coming from the
-        destination's receive buffer instead of global history.
-        """
-        if self._receiver_deaf(tx):
-            self.stats["silent"] += 1
-            return FrameFate(kind="silent", delivered=False,
-                             feedback=None, observation=None)
-        rng = self.attempt_rng(tx)
-        obs = self._observe(tx, rng)
-        if not obs.detected:
-            self.stats["silent"] += 1
-            return FrameFate(kind="silent", delivered=False,
-                             feedback=None, observation=obs)
-        interferers = self._interferers(tx)
-        if tx.rts_protected:
-            interferers = []        # the exchange reserved the medium
-        if interferers and self._captures(tx, interferers):
-            self.stats["captured"] += 1
-            interferers = []
-        if not interferers:
-            self.stats["clean"] += 1
-            feedback = Feedback(src=tx.frame.dest, dest=tx.frame.src,
-                                seq=tx.frame.seq, ber=obs.ber_est,
-                                frame_ok=obs.delivered,
-                                snr_db=obs.snr_db)
-            return FrameFate(kind="clean", delivered=obs.delivered,
-                             feedback=feedback, observation=obs)
-
-        locked_to_us = all(tx.start <= e.tx.start for e in interferers)
-        if locked_to_us:
-            # Receiver synchronised to us; an interferer corrupts our
-            # body.  Frame lost, but the header decoded, so feedback
-            # flows — flagged as interference with ``detect_prob``.
-            self.stats["collided"] += 1
-            detected = bool(rng.random() < self.detect_prob)
-            if detected:
-                ber = obs.ber_est       # interference-free portion
-            else:
-                ber = COLLISION_BER     # looks like a channel loss
-                self.stats["undetected_collisions"] += 1
-            feedback = Feedback(src=tx.frame.dest, dest=tx.frame.src,
-                                seq=tx.frame.seq, ber=ber,
-                                frame_ok=False,
-                                interference_detected=detected,
-                                snr_db=obs.snr_db)
-            return FrameFate(kind="collided", delivered=False,
-                             feedback=feedback, observation=obs,
-                             interference_detected=detected)
-
-        # Receiver locked elsewhere: our preamble is gone.
-        postamble_clean = self.use_postambles and not any(
-            e.tx.start < tx.end and tx.postamble_start < e.tx.end
-            for e in interferers)
-        if postamble_clean:
-            self.stats["postamble"] += 1
-            feedback = Feedback(src=tx.frame.dest, dest=tx.frame.src,
-                                seq=tx.frame.seq, ber=obs.ber_est,
-                                frame_ok=False,
-                                interference_detected=True,
-                                snr_db=obs.snr_db, postamble_only=True)
-            return FrameFate(kind="postamble", delivered=False,
-                             feedback=feedback, observation=obs,
-                             interference_detected=True)
-        self.stats["silent"] += 1
-        return FrameFate(kind="silent", delivered=False, feedback=None,
-                         observation=obs)

@@ -20,7 +20,14 @@ from repro.traces.generate import generate_fading_trace
 
 __all__ = ["ExperimentPreset", "static_experiment", "walking_experiment",
            "simulation_experiment", "walking_traces",
-           "simulation_traces", "static_short_range_traces"]
+           "simulation_traces", "static_short_range_traces",
+           "DOWNLINK_SEED_OFFSET", "downlink_seed"]
+
+#: How far above the uplink seed fig13, fig17 and ``repro simulate
+#: --workload tcp`` seed their downlink traces.  The generators seed
+#: link ``i`` at ``seed + i``, so it is also the largest client count
+#: those entry points support.
+DOWNLINK_SEED_OFFSET = 50
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,24 @@ def simulation_experiment(doppler_hz: float) -> ExperimentPreset:
         description="fading channel simulator at fixed Doppler spread",
         tx_powers_db=tuple(np.linspace(0.0, 19.0, 20)),
         n_runs=1, doppler_hz=doppler_hz, duration=2.0)
+
+
+def downlink_seed(seed: int, n_links: int) -> int:
+    """The downlink trace seed paired with uplink trace seed ``seed``.
+
+    Raises:
+        ValueError: ``n_links`` exceeds :data:`DOWNLINK_SEED_OFFSET`,
+            so uplink ``DOWNLINK_SEED_OFFSET`` and downlink 0 would be
+            one fading realisation.
+    """
+    if n_links > DOWNLINK_SEED_OFFSET:
+        raise ValueError(
+            f"{n_links} clients would alias: uplink "
+            f"{DOWNLINK_SEED_OFFSET} and downlink 0 would be the same "
+            f"trace.  This workload is limited to {DOWNLINK_SEED_OFFSET} "
+            f"clients; the campaign 'cell' experiment runs larger cells "
+            f"(see its _DOWNLINK_SEED_OFFSET).")
+    return seed + DOWNLINK_SEED_OFFSET
 
 
 def walking_traces(n_links: int, duration: float = 10.0,
