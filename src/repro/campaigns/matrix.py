@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import (Any, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from repro.experiments.api import (Scenario, _canonical_json,
-                                   get_experiment)
+from repro.experiments.api import (PERF_PARAMS, Scenario, _canonical,
+                                   _canonical_json, get_experiment)
 
 __all__ = ["Axis", "RandomAxis", "CampaignMatrix", "CampaignScenario",
            "CampaignError", "derive_scenario_seed"]
@@ -212,12 +212,13 @@ class CampaignMatrix:
     # -- identity -----------------------------------------------------
 
     def to_manifest(self) -> Dict[str, Any]:
-        """JSON description of the matrix (written to the store)."""
+        """JSON description of the matrix (written to the store);
+        axis values and ``base`` are in canonical JSON form."""
         return {
             "name": self.name,
             "experiment": self.experiment,
             "description": self.description,
-            "axes": {a.name: list(a.values)
+            "axes": {a.name: _canonical(list(a.values))
                      for a in sorted(self.axes, key=lambda a: a.name)},
             "random_axes": {
                 a.name: {"low": a.low, "high": a.high, "log": a.log,
@@ -225,7 +226,7 @@ class CampaignMatrix:
                 for a in sorted(self.random_axes,
                                 key=lambda a: a.name)},
             "samples": self.samples,
-            "base": dict(self.base),
+            "base": _canonical(self.base),
             "replicates": self.replicates,
             "seed": self.seed,
             "varied": self.varied_parameters(),
@@ -236,11 +237,15 @@ class CampaignMatrix:
 
         Everything that changes the scenario set changes the digest —
         and nothing else does (axis declaration order, in particular,
-        does not).  The checkpoint store keys its directory on this,
-        so an edited campaign never resumes from a stale checkpoint.
+        does not, and neither do :data:`PERF_PARAMS` in ``base``, which
+        scenario ids ignore too).  The checkpoint store keys its
+        directory on this, so an edited campaign never resumes from a
+        stale checkpoint.
         """
         manifest = self.to_manifest()
         manifest.pop("description", None)
+        manifest["base"] = {k: v for k, v in manifest["base"].items()
+                            if k not in PERF_PARAMS}
         return hashlib.sha256(
             _canonical_json(manifest).encode()).hexdigest()[:12]
 

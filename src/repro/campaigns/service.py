@@ -536,8 +536,9 @@ def request(cache_dir: str, payload: Dict[str, Any],
             timeout: float = 30.0) -> Dict[str, Any]:
     """Send one request to the server behind ``cache_dir``.
 
-    Raises :class:`ServiceUnavailable` when no endpoint is advertised
-    or the advertised server is gone (stale file after a kill), and
+    Raises :class:`ServiceUnavailable` when no endpoint is advertised,
+    the advertised server is gone (stale file after a kill) or it
+    closes the connection without answering, and
     :class:`ServiceError` on a malformed response.
     """
     endpoint = read_endpoint(cache_dir)
@@ -561,6 +562,12 @@ def request(cache_dir: str, payload: Dict[str, Any],
         raise ServiceUnavailable(
             f"campaign service at {endpoint[0]}:{endpoint[1]} is "
             f"not answering ({exc})") from exc
+    if not data:
+        # Accepted, then closed unanswered: a server shutting down
+        # (``serve --once`` after its last submission) does this.
+        raise ServiceUnavailable(
+            f"campaign service at {endpoint[0]}:{endpoint[1]} closed "
+            f"the connection without answering")
     try:
         response = json.loads(data)
         if not isinstance(response, dict):

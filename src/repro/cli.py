@@ -16,7 +16,9 @@ Commands:
 * ``run`` — run one registered experiment (``--set key=val``
   overrides, ``--jobs N`` parallelism, ``--seeds``/``--replicates``
   fan-out, ``--phy-backend full|surrogate``, cached results,
-  JSON/npz output).
+  JSON/npz output).  Replicates run on the campaign engine, so a
+  rejected argument and a run that still fails after its retries
+  both print one ``error:`` line and exit 2.
 * ``sweep`` — run one experiment across a parameter sweep.
 * ``campaign`` — thousand-scenario sweeps: ``campaign list`` shows the
   registered matrices, ``campaign run`` executes one (sharded via
@@ -78,8 +80,7 @@ def _parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(
-                f"--set expects KEY=VALUE, got {pair!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
         overrides[key] = _parse_value(value)
     return overrides
 
@@ -113,9 +114,19 @@ def _parse_values(text: str) -> List[Any]:
 def _parse_seeds(args) -> Optional[List[int]]:
     from repro.experiments.api import derive_seeds
 
-    if args.seeds:
-        return [int(s) for s in args.seeds.split(",") if s]
-    if args.replicates:
+    if args.replicates is not None and args.replicates < 1:
+        raise ValueError(
+            f"--replicates must be at least 1, got {args.replicates}")
+    if args.seeds is not None:
+        try:
+            seeds = [int(s) for s in args.seeds.split(",") if s]
+        except ValueError:
+            seeds = []
+        if not seeds:
+            raise ValueError("--seeds takes comma-separated integers, "
+                             f"got {args.seeds!r}")
+        return seeds
+    if args.replicates is not None:
         return derive_seeds(args.base_seed, args.replicates)
     return None
 
@@ -301,23 +312,29 @@ def _cmd_list(_args) -> int:
 
 def _invoke_runner(args, call):
     """Build a Runner from CLI args and run ``call(runner)``, mapping
-    registry errors to the (exit-2, message-on-stderr) contract.
+    rejected arguments and failed runs to the (exit-2,
+    message-on-stderr) contract.  ``--no-cache`` runs in a throwaway
+    cache directory.
 
     Returns ``(outcome, None)`` on success or ``(None, exit_code)``.
     """
-    from repro.experiments.api import (Runner, UnknownExperimentError,
-                                       UnknownParameterError)
+    import contextlib
+    import tempfile
+
+    from repro.experiments.api import (ExperimentExecutionError, Runner,
+                                       UnknownExperimentError)
 
     try:
-        runner = Runner(jobs=args.jobs, cache_dir=args.cache_dir,
-                        use_cache=not args.no_cache,
-                        batch_size=args.batch_size,
-                        phy_backend=args.phy_backend)
-        return call(runner), None
+        with (tempfile.TemporaryDirectory() if args.no_cache else
+              contextlib.nullcontext(args.cache_dir)) as cache_dir:
+            runner = Runner(jobs=args.jobs, cache_dir=cache_dir,
+                            batch_size=args.batch_size,
+                            phy_backend=args.phy_backend)
+            return call(runner), None
     except UnknownExperimentError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return None, 2
-    except (ValueError, UnknownParameterError) as exc:
+    except (ValueError, ExperimentExecutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
 
@@ -727,7 +744,8 @@ def _add_runner_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write result (.json or .npz)")
     p.add_argument("--cache-dir", default=".repro-cache")
     p.add_argument("--no-cache", action="store_true",
-                   help="bypass the result cache")
+                   help="run in a throwaway cache directory (nothing "
+                        "is reused or kept)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,8 +13,9 @@ code is reachable three ways::
 
     python -m repro run fig13 --set duration=2.0   # CLI
 
-``Runner`` adds seed fan-out over processes, sweeps, and content-hash
-result caching on top.
+``Runner`` adds seed fan-out and sweeps on top: it executes them as a
+campaign (:mod:`repro.campaigns`), whose supervised pool and result
+store also serve as its executor and cache.
 """
 
 from repro.experiments.api import (ExperimentResult, ExperimentSpec,

@@ -1,13 +1,14 @@
-"""Unified experiment API: specs, a registry, and a parallel runner.
+"""Unified experiment API: specs, a registry, and a runner.
 
 Every paper reproduction (``figXX``/``tabXX`` module) declares itself
 with :func:`register_experiment`, providing a declarative
 :class:`ExperimentSpec` — name, description, parameter space with
 defaults, trace requirements, and the algorithms involved.  A concrete
-parameterization is a :class:`Scenario`; executing one (or a fan of
-seed replicates / sweep points) through :class:`Runner` yields a
-uniform :class:`ExperimentResult` that serializes to JSON or ``.npz``
-and caches under a content hash.
+parameterization is a :class:`Scenario`.  :func:`run` executes one
+in-process; :class:`Runner` executes a fan of seed replicates and
+sweep points as a campaign (:mod:`repro.campaigns`), so its results
+are cached per replicate in the campaign result store.  Both yield a
+uniform :class:`ExperimentResult` that serializes to JSON or ``.npz``.
 
 Entry points::
 
@@ -26,9 +27,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
@@ -80,7 +79,10 @@ class ExperimentExecutionError(RuntimeError):
     boundary stay attributable — the parent sees *which* experiment
     broke and *how*, not just a bare re-raised exception.  Picklable
     by construction (``__reduce__``) because process pools must ship
-    it back to the parent intact.
+    it back to the parent intact.  :class:`Runner` raises it, at any
+    ``jobs``, for a replicate that still failed (or whose worker
+    died) after its retries, carrying the error and traceback the
+    campaign engine recorded in its quarantine.
     """
 
     def __init__(self, message: str, experiment: Optional[str] = None,
@@ -103,7 +105,11 @@ def _canonical(value: Any) -> Any:
     (``json.dumps`` would otherwise emit the non-standard ``NaN``).
     """
     if isinstance(value, Mapping):
-        return {str(k): _canonical(value[k]) for k in sorted(value)}
+        try:
+            keys = sorted(value)
+        except TypeError:               # mixed key types: {None: 1, 1: 2}
+            keys = sorted(value, key=repr)
+        return {str(k): _canonical(value[k]) for k in keys}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if isinstance(value, np.generic):
@@ -345,9 +351,10 @@ class ExperimentResult:
     """Uniform record of one experiment run (possibly seed-fanned).
 
     ``per_seed`` holds one flat metric dict per replicate;
-    ``aggregates`` is their nan-aware mean.  ``raw`` is the last
-    replicate's native result object (kept only for in-process serial
-    runs; never serialized).
+    ``aggregates`` is their nan-aware mean.  ``raw`` is the
+    experiment's native result object, kept only by :func:`run` (a
+    :class:`Runner` result is built from stored metrics, so it is
+    ``None`` there) and never serialized.
 
     Example::
 
@@ -472,9 +479,10 @@ def execute_task(name: str, module: str,
     ``module`` is the module that registered the experiment: under a
     ``spawn`` start method the child registry starts empty, and
     importing that module re-registers experiments that live outside
-    the built-in ``_EXPERIMENT_MODULES`` list.  Both the Runner's pool
-    worker and the campaign engine's shard workers funnel through
-    here, so every execution path extracts metrics identically.
+    the built-in ``_EXPERIMENT_MODULES`` list.  The campaign engine,
+    and so :class:`Runner`, runs every scenario through here,
+    in-process or in a pool worker; failures come back wrapped in
+    :class:`ExperimentExecutionError` with the worker's traceback.
     """
     load_all()
     if name not in _REGISTRY:
@@ -491,40 +499,35 @@ def execute_task(name: str, module: str,
             traceback_text=traceback.format_exc()) from exc
 
 
-def _pool_worker(task: Tuple[str, str, Dict[str, Any]]
-                 ) -> Dict[str, float]:
-    """Picklable map target for the Runner's process pool."""
-    return execute_task(*task)
-
-
-def _recorded_params(spec: ExperimentSpec, base: Scenario,
-                     seed_list: Optional[Sequence[Any]]
-                     ) -> Dict[str, Any]:
-    """Params to record on a result: on a seed-fanned run the spec's
-    seed parameter was rewritten per replicate, so its base value is
-    dropped — the ``seeds`` field is the authoritative record."""
-    params = dict(base.params)
-    if seed_list and spec.seed_param is not None:
-        params.pop(spec.seed_param, None)
-    return params
-
-
 class Runner:
-    """Fans scenarios over processes, with content-hash result caching.
+    """Fans seed replicates and sweep points out as one campaign.
+
+    A call becomes a :class:`repro.campaigns.CampaignMatrix` named
+    ``run-<experiment>``: the overrides are its base, a sweep adds an
+    axis over the swept values and ``seeds`` an axis over the spec's
+    seed parameter.  :class:`repro.campaigns.CampaignRunner` executes
+    it and its result store is the cache: one record per replicate,
+    under ``{cache_dir}/campaigns/`` in ``run-<experiment>-<digest>``.
+    A failing replicate is retried, a dying worker under ``jobs > 1``
+    is replaced, and a rerun executes only the replicates that have
+    no record yet.  The cache key is the matrix digest, which ignores
+    :data:`PERF_PARAMS`; the records are keyed by scenario id, which
+    also folds in the surrogate calibration fingerprint, so a
+    recalibration recomputes surrogate results.
 
     Args:
-        jobs: worker processes (1 = run serially in-process, keeping
-            the raw result object on the returned record).
-        cache_dir: directory for cached result JSON (created lazily).
-        use_cache: read/write the cache; disable for benchmarking.
+        jobs: worker processes (1 = run serially in-process; more =
+            a supervised pool of that many workers).
+        cache_dir: root of the result store (created on first use);
+            point it at a throwaway directory to disable caching.
         batch_size: injected as the ``batch_size`` override for specs
             that declare the knob — a pure throughput setting,
-            excluded from cache hashes (:data:`PERF_PARAMS`).
+            excluded from cache identity (:data:`PERF_PARAMS`).
         phy_backend: PHY backend name (``"full"`` / ``"surrogate"``)
             injected for specs that declare a ``phy_backend``
             parameter.  Unlike ``batch_size`` it **changes results**
             (the surrogate is calibrated, not bit-exact), so it
-            participates in cache hashes like any other parameter.
+            participates in cache identity like any other parameter.
 
     Raises:
         ValueError: ``phy_backend`` names no known backend; the
@@ -537,12 +540,10 @@ class Runner:
     """
 
     def __init__(self, jobs: int = 1, cache_dir: str = ".repro-cache",
-                 use_cache: bool = True,
                  batch_size: Optional[int] = None,
                  phy_backend: Optional[str] = None):
         self.jobs = max(int(jobs), 1)
         self.cache_dir = cache_dir
-        self.use_cache = use_cache
         #: When set, injected as the ``batch_size`` override for specs
         #: that declare the knob (see :data:`PERF_PARAMS`); specs
         #: without it are unaffected, so sweeps can pass one value for
@@ -570,75 +571,6 @@ class Runner:
             merged["phy_backend"] = self.phy_backend
         return merged
 
-    # -- caching ------------------------------------------------------
-
-    def _cache_path(self, name: str, key: str) -> str:
-        return os.path.join(self.cache_dir, f"{name}-{key}.json")
-
-    def _cache_load(self, name: str, key: str
-                    ) -> Optional[ExperimentResult]:
-        if not self.use_cache:
-            return None
-        path = self._cache_path(name, key)
-        try:
-            with open(path) as fh:
-                result = ExperimentResult.from_json(fh.read())
-        except (OSError, ValueError, KeyError):
-            return None
-        result.cached = True
-        return result
-
-    @staticmethod
-    def _refresh_perf_params(result: ExperimentResult,
-                             base: Scenario) -> None:
-        """Stamp the requested performance-only parameters onto a
-        cache hit: the stored record carries whatever values the
-        original run used, and since PERF_PARAMS cannot change
-        results, the honest record for *this* run is what was asked
-        for now."""
-        for key in PERF_PARAMS:
-            if key in base.params and key in result.params:
-                result.params[key] = base.params[key]
-
-    def _cache_store(self, result: ExperimentResult) -> None:
-        if not self.use_cache:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        path = self._cache_path(result.experiment, result.cache_key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write(result.to_json())
-            fh.write("\n")
-        os.replace(tmp, path)
-
-    # -- execution ----------------------------------------------------
-
-    @staticmethod
-    def _run_key(base: Scenario, seeds: Optional[Sequence[Any]]) -> str:
-        params = {k: v for k, v in base.params.items()
-                  if k not in PERF_PARAMS}
-        payload = _canonical_json({"scenario": params,
-                                   "seeds": list(seeds or [])})
-        return hashlib.sha256(
-            f"{base.content_hash()}:{payload}".encode()).hexdigest()[:16]
-
-    def _execute(self, name: str, points: List[Scenario]
-                 ) -> Tuple[List[Dict[str, float]], Any]:
-        spec = get_experiment(name)
-        if self.jobs > 1 and len(points) > 0:
-            tasks = [(name, spec.fn.__module__, p.params)
-                     for p in points]
-            workers = min(self.jobs, len(tasks))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                metrics = list(pool.map(_pool_worker, tasks,
-                                        chunksize=1))
-            return metrics, None
-        metrics, raw = [], None
-        for point in points:
-            raw = point.execute()
-            metrics.append(spec.extract_metrics(raw))
-        return metrics, raw
-
     def run(self, name: str,
             overrides: Optional[Mapping[str, Any]] = None,
             seeds: Optional[Sequence[Any]] = None) -> ExperimentResult:
@@ -648,36 +580,13 @@ class Runner:
         defaults plus ``overrides``; with ``seeds`` one replicate runs
         per entry, each with the spec's seed parameter rewritten
         deterministically, and ``aggregates`` averages the replicates.
-        """
-        spec = get_experiment(name)
-        base = spec.scenario(self._with_runner_knobs(spec, overrides))
-        seed_list = list(seeds) if seeds is not None else None
-        if seed_list and spec.seed_param is None:
-            raise ValueError(
-                f"{name} is deterministic (no seed parameter); "
-                "seed replication would repeat identical runs")
-        key = self._run_key(base, seed_list)
-        hit = self._cache_load(name, key)
-        if hit is not None:
-            self._refresh_perf_params(hit, base)
-            return hit
 
-        if seed_list:
-            points = [base.with_seed(s) for s in seed_list]
-        else:
-            points = [base]
-        start = time.perf_counter()
-        per_seed, raw = self._execute(name, points)
-        elapsed = time.perf_counter() - start
-        result = ExperimentResult(
-            experiment=name,
-            params=_recorded_params(spec, base, seed_list),
-            seeds=seed_list if seed_list else [None],
-            per_seed=per_seed,
-            aggregates=aggregate_metrics(per_seed),
-            cache_key=key, elapsed_s=elapsed, raw=raw)
-        self._cache_store(result)
-        return result
+        Raises:
+            ExperimentExecutionError: a replicate still failed after
+                its retries (the replicates that completed stay
+                recorded, so a rerun executes only the failed ones).
+        """
+        return self._fan(name, overrides, seeds)[0]
 
     def sweep(self, name: str, param: str, values: Iterable[Any],
               overrides: Optional[Mapping[str, Any]] = None,
@@ -685,61 +594,103 @@ class Runner:
               ) -> List[ExperimentResult]:
         """Run one experiment across a parameter sweep.
 
-        Each sweep point is an independent cached run; uncached points
-        (all their seed replicates) share one process pool, so a cold
-        ``--jobs N`` sweep keeps N workers busy across the whole
-        point x seed grid.
+        Every point x seed replicate is one scenario of a single
+        campaign, so a cold ``jobs=N`` sweep keeps N workers busy
+        across the whole grid; a value of ``param`` beats an override
+        of the same key.  Returns one result per value, in order.
         """
+        if param in PERF_PARAMS:
+            raise ValueError(
+                f"{param!r} only tunes throughput and cannot change "
+                f"results, so sweeping it would repeat one run; set "
+                f"it with --batch-size (Runner(batch_size=...))")
+        return self._fan(name, overrides, seeds, param, list(values))
+
+    def _fan(self, name: str, overrides: Optional[Mapping[str, Any]],
+             seeds: Optional[Sequence[Any]], param: Optional[str] = None,
+             values: Sequence[Any] = (None,)) -> List[ExperimentResult]:
+        """Execute ``values`` x ``seeds`` as one campaign matrix and
+        build one result per value from the store's records."""
+        from repro.campaigns import (Axis, CampaignMatrix,
+                                     CampaignRunner, ResultStore)
+
         spec = get_experiment(name)
-        values = list(values)
+        seed_param = spec.seed_param
         seed_list = list(seeds) if seeds is not None else None
-        if seed_list and spec.seed_param is None:
+        if seed_list and seed_param is None:
             raise ValueError(
                 f"{name} is deterministic (no seed parameter); "
                 "seed replication would repeat identical runs")
-        if seed_list and param == spec.seed_param:
+        if seed_list and param == seed_param:
             raise ValueError(
                 f"cannot sweep {param!r} while fanning seeds: the "
                 "replicate fan rewrites that parameter per seed")
-        runs: List[Optional[ExperimentResult]] = []
-        pending: List[Tuple[int, Scenario, str, List[Scenario]]] = []
-        for value in values:
-            merged = self._with_runner_knobs(spec, overrides)
-            merged[param] = value
-            base = spec.scenario(merged)
-            key = self._run_key(base, seed_list)
-            hit = self._cache_load(name, key)
-            if hit is not None:
-                self._refresh_perf_params(hit, base)
-            runs.append(hit)
-            if hit is None:
-                points = ([base.with_seed(s) for s in seed_list]
-                          if seed_list else [base])
-                pending.append((len(runs) - 1, base, key, points))
+        base = self._with_runner_knobs(spec, overrides)
+        axes = []
+        if param is not None:
+            base.pop(param, None)
+            axes.append(Axis(param, values))
+        seed_values: List[Any] = [None]
+        if seed_list:
+            base.pop(seed_param, None)
+            seed_values = [Scenario(name, {}).with_seed(s)
+                           .params[seed_param] for s in seed_list]
+            axes.append(Axis(seed_param, seed_values))
+        elif seed_param is not None and param != seed_param:
+            # Pinned, so the matrix derives no seed of its own.
+            base[seed_param] = spec.scenario(base).params[seed_param]
+        matrix = CampaignMatrix(name=f"run-{name}", experiment=name,
+                                axes=tuple(axes), base=base)
+        # Expanding validates every parameterization, so a rejected
+        # call leaves nothing on disk.
+        scenarios = matrix.expand()
+        store = ResultStore(matrix, cache_dir=self.cache_dir)
+        before = records = store.load_records()
+        if any(s.scenario_id not in before for s in scenarios):
+            CampaignRunner(jobs=self.jobs,
+                           cache_dir=self.cache_dir).run(matrix)
+            records = store.load_records()
+        missing = [s for s in scenarios if s.scenario_id not in records]
+        if missing:
+            quarantine = {e["scenario_id"]: e
+                          for e in store.load_quarantine()}
+            entry = quarantine.get(missing[0].scenario_id, {})
+            raise ExperimentExecutionError(
+                f"{len(missing)} of {len(scenarios)} {name} "
+                f"scenario(s) failed; {missing[0].scenario_id} after "
+                f"{entry.get('attempts', 0)} attempt(s): "
+                f"{entry.get('error', 'no error recorded')}",
+                experiment=name,
+                traceback_text=entry.get("traceback", ""))
 
-        if pending:
-            flat = [(index, point) for index, _b, _k, points in pending
-                    for point in points]
-            start = time.perf_counter()
-            all_metrics, _raw = self._execute(
-                name, [point for _i, point in flat])
-            elapsed = time.perf_counter() - start
-            by_index: Dict[int, List[Dict[str, float]]] = {}
-            for (index, _point), metrics in zip(flat, all_metrics):
-                by_index.setdefault(index, []).append(metrics)
-            share = elapsed / max(len(pending), 1)
-            for index, base, key, _points in pending:
-                per_seed = by_index[index]
-                result = ExperimentResult(
-                    experiment=name,
-                    params=_recorded_params(spec, base, seed_list),
-                    seeds=seed_list if seed_list else [None],
-                    per_seed=per_seed,
-                    aggregates=aggregate_metrics(per_seed),
-                    cache_key=key, elapsed_s=share)
-                self._cache_store(result)
-                runs[index] = result
-        return [r for r in runs if r is not None]
+        # Axes expand in name order, so scenarios are found by their
+        # (value, seed) cell rather than by index.
+        def cell(value: Any, seed: Any) -> str:
+            return _canonical_json([value, seed])
+
+        by_cell = {cell(s.params[param] if param is not None else None,
+                        s.params[seed_param] if seed_list else None): s
+                   for s in scenarios}
+        results = []
+        for value in values:
+            point = [by_cell[cell(value, seed)] for seed in seed_values]
+            rows = [records[s.scenario_id] for s in point]
+            # The request's params (so a hit reports the batch_size
+            # asked for now); a seed fan's ``seeds`` replaces the
+            # per-replicate seed parameter.
+            params = dict(point[0].params)
+            if seed_list:
+                params.pop(seed_param)
+            per_seed = [row["metrics"] for row in rows]
+            results.append(ExperimentResult(
+                experiment=name, params=params,
+                seeds=seed_list if seed_list else [None],
+                per_seed=per_seed,
+                aggregates=aggregate_metrics(per_seed),
+                cache_key=matrix.digest(),
+                elapsed_s=sum(row["elapsed_s"] for row in rows),
+                cached=all(s.scenario_id in before for s in point)))
+        return results
 
 
 def run(name: str, **overrides: Any) -> ExperimentResult:
@@ -747,6 +698,17 @@ def run(name: str, **overrides: Any) -> ExperimentResult:
 
     The returned record keeps the experiment's native result object on
     ``.raw`` — this is the registry-mediated path the historical
-    ``run_figXX`` wrappers and the benchmark suite go through.
+    ``run_figXX`` wrappers and the benchmark suite go through.  Nothing
+    is cached and no worker process is started; ``cache_key`` is the
+    scenario's content hash.
     """
-    return Runner(jobs=1, use_cache=False).run(name, overrides)
+    spec = get_experiment(name)
+    scenario = spec.scenario(overrides)
+    start = time.perf_counter()
+    raw = scenario.execute()
+    metrics = spec.extract_metrics(raw)
+    return ExperimentResult(
+        experiment=name, params=dict(scenario.params), seeds=[None],
+        per_seed=[metrics], aggregates=aggregate_metrics([metrics]),
+        cache_key=scenario.content_hash(),
+        elapsed_s=time.perf_counter() - start, raw=raw)

@@ -81,11 +81,11 @@ class CalibrationTable:
             validated against the golden fixtures.
         loss: frame-loss fraction per (rate, SNR) at the calibration
             frame size; source of the per-bit delivery hazard.
-        errored_log_ber / errored_log_ber_std: mean / std of
+        errored_log_ber_arr / errored_log_ber_std_arr: mean / std of
             ``log10 BER`` over frames with at least one bit error.
-        clean_log_est / clean_log_est_std: mean / std of ``log10`` of
-            the frame BER estimate over *error-free* frames (the
-            estimator's floor).
+        clean_log_est_arr / clean_log_est_std_arr: mean / std of
+            ``log10`` of the frame BER estimate over *error-free*
+            frames (the estimator's floor).
         log_p_mean_arr / log_p_std_arr: within-frame moments of
             ``log10 p_k`` over the hint-implied per-bit error
             probabilities (the hint distribution's shape).
@@ -288,26 +288,6 @@ class CalibrationTable:
         logh = np.interp(np.asarray(snr_db, dtype=np.float64),
                          self.snr_grid_db, self._log_hazard[rate_index])
         return 10.0 ** logh
-
-    def errored_log_ber(self, rate_index: int, snr_db) -> np.ndarray:
-        """Mean ``log10 BER`` of errored frames at the SNR(s)."""
-        return np.interp(snr_db, self.snr_grid_db,
-                         self._errored_log_ber[rate_index])
-
-    def errored_log_ber_std(self, rate_index: int, snr_db) -> np.ndarray:
-        """Spread of errored-frame ``log10 BER`` at the SNR(s)."""
-        return np.interp(snr_db, self.snr_grid_db,
-                         self._errored_log_ber_std[rate_index])
-
-    def clean_log_est(self, rate_index: int, snr_db) -> np.ndarray:
-        """Mean ``log10`` estimate of error-free frames at SNR(s)."""
-        return np.interp(snr_db, self.snr_grid_db,
-                         self._clean_log_est[rate_index])
-
-    def clean_log_est_std(self, rate_index: int, snr_db) -> np.ndarray:
-        """Spread of the clean-frame estimate at the SNR(s)."""
-        return np.interp(snr_db, self.snr_grid_db,
-                         self._clean_log_est_std[rate_index])
 
     def log_p_mean(self, rate_index: int, snr_db) -> np.ndarray:
         """Within-frame mean of ``log10 p_k`` at the given SNR(s)."""

@@ -129,6 +129,37 @@ class TestProtocol:
             request(str(tmp_path), {"op": "ping"})
         assert read_endpoint(str(tmp_path)) is None
 
+    def test_connection_closed_unanswered_is_unavailable(self,
+                                                         tmp_path):
+        # A server shutting down may accept a request and close it
+        # unanswered; `campaign submit` must then fall back to the
+        # local store instead of failing on a "malformed" reply.
+        import socket as socketlib
+        import threading
+
+        from repro.campaigns.service import ServiceUnavailable
+        listener = socketlib.create_server(("127.0.0.1", 0))
+        state = tmp_path / "service"
+        state.mkdir()
+        (state / "endpoint.json").write_text(json.dumps(
+            {"host": "127.0.0.1", "port": listener.getsockname()[1],
+             "pid": os.getpid()}))
+
+        def accept_and_close():
+            conn, _ = listener.accept()
+            conn.recv(65536)
+            conn.close()
+
+        thread = threading.Thread(target=accept_and_close)
+        thread.start()
+        try:
+            with pytest.raises(ServiceUnavailable, match="without"):
+                request(str(tmp_path), {"op": "status", "id": "x"})
+        finally:
+            thread.join(timeout=10.0)
+            listener.close()
+        assert not thread.is_alive()
+
     def test_exit_code_contract(self):
         assert [state_exit_code(s) for s in TERMINAL_STATES] \
             == [0, 3, 4, 1]

@@ -126,8 +126,7 @@ class TestRunner:
         assert parallel.cache_key == serial.cache_key
 
     def test_fanned_result_omits_stale_seed_param(self, tmp_path):
-        runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        use_cache=False)
+        runner = Runner(jobs=1, cache_dir=str(tmp_path))
         fanned = runner.run("fig01", {"duration": 2.0}, seeds=[5, 6])
         # The base seed default was rewritten per replicate; recording
         # it would misstate what ran — `seeds` is authoritative.
@@ -137,8 +136,7 @@ class TestRunner:
         assert single.params["seed"] == 1
 
     def test_seed_fan_rewrites_seed_param(self, tmp_path):
-        runner = Runner(jobs=1, cache_dir=str(tmp_path / "cache"),
-                        use_cache=False)
+        runner = Runner(jobs=1, cache_dir=str(tmp_path / "cache"))
         fanned = runner.run("fig01", {"duration": 2.0}, seeds=[1, 9])
         assert fanned.seeds == [1, 9]
         assert len(fanned.per_seed) == 2
@@ -210,8 +208,7 @@ class TestDeterministicExperiments:
         assert scenario.with_seed(5) is scenario
 
     def test_seed_fan_rejected_for_seedless_experiment(self, tmp_path):
-        runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        use_cache=False)
+        runner = Runner(jobs=1, cache_dir=str(tmp_path))
         with pytest.raises(ValueError, match="deterministic"):
             runner.run("tab02", seeds=[1, 2])
         with pytest.raises(ValueError, match="deterministic"):
@@ -244,7 +241,7 @@ class TestBatchSizeKnob:
 
     def test_runner_injects_batch_size_where_declared(self, tmp_path):
         runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        use_cache=False, batch_size=2)
+                        batch_size=2)
         result = runner.run("fig07", {"payload_bits": 104,
                                       "frames_per_point": 1})
         assert result.params["batch_size"] == 2
@@ -255,7 +252,7 @@ class TestBatchSizeKnob:
 
     def test_explicit_override_beats_runner_default(self, tmp_path):
         runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        use_cache=False, batch_size=2)
+                        batch_size=2)
         result = runner.run("fig07", {"payload_bits": 104,
                                       "frames_per_point": 1,
                                       "batch_size": 3})
@@ -323,7 +320,7 @@ class TestPhyBackendKnob:
 
     def test_runner_injects_backend_where_declared(self, tmp_path):
         runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        use_cache=False, phy_backend="surrogate")
+                        phy_backend="surrogate")
         result = runner.run("fig07", {"payload_bits": 104,
                                       "frames_per_point": 1})
         assert result.params["phy_backend"] == "surrogate"
@@ -334,7 +331,7 @@ class TestPhyBackendKnob:
 
     def test_explicit_override_beats_runner_default(self, tmp_path):
         runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        use_cache=False, phy_backend="surrogate")
+                        phy_backend="surrogate")
         result = runner.run("fig07", {"payload_bits": 104,
                                       "frames_per_point": 1,
                                       "phy_backend": "full"})

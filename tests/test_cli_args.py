@@ -1,0 +1,203 @@
+"""Argument wall for ``repro run`` and ``repro sweep``.
+
+Every argument these commands take crosses a boundary, so each command
+either runs or is rejected the same way: exit code 2, an ``error:``
+line last on stderr, no traceback, and nothing written to the cache
+directory.  The property test drives ``cli-any``, an experiment that
+accepts any parameter value and never fails, so every exit 2 it sees
+is a rejected argument rather than a failed run.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cli import main
+from repro.experiments.api import register_experiment
+
+
+@register_experiment(
+    "cli-any",
+    description="accepts any parameter value and never fails",
+    params={"seed": 0, "x": 0, "batch_size": 1})
+def _run_any(seed=0, x=0, batch_size=1):
+    """One metric: the length of its parameters' repr."""
+    return {"size": float(len(repr((seed, x, batch_size))))}
+
+
+def _cli(argv):
+    """``(exit code, stdout, stderr)`` of one in-process invocation,
+    argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_rejected(code, err, cache, *needles):
+    assert code == 2, err
+    lines = err.strip().splitlines()
+    assert lines and "error:" in lines[-1], err
+    assert "Traceback" not in err
+    assert not os.path.exists(cache), os.listdir(cache)
+    for needle in needles:
+        assert needle in err
+
+
+class TestRejectedArguments:
+    """Each case exits 2 with an ``error:`` line and leaves no store."""
+
+    def test_set_needs_a_key_and_an_equals_sign(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        for bad in ("=5", "duration"):
+            code, _out, err = _cli(["run", "fig01", "--set", bad,
+                                    "--cache-dir", cache])
+            _assert_rejected(code, err, cache, "--set")
+
+    def test_replicates_below_one(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        for bad in ("0", "-1"):
+            code, _out, err = _cli(["run", "cli-any", "--replicates",
+                                    bad, "--cache-dir", cache])
+            _assert_rejected(code, err, cache, "--replicates")
+
+    def test_empty_seed_and_value_lists(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        code, _out, err = _cli(["run", "cli-any", "--seeds", ",",
+                                "--cache-dir", cache])
+        _assert_rejected(code, err, cache, "--seeds")
+        code, _out, err = _cli(["sweep", "cli-any", "--param", "seed",
+                                "--values", ",", "--cache-dir", cache])
+        _assert_rejected(code, err, cache, "no values")
+
+    def test_repeated_seeds_and_values(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        code, _out, err = _cli(["run", "cli-any", "--seeds", "1,2,1",
+                                "--cache-dir", cache])
+        _assert_rejected(code, err, cache, "repeats a value")
+        code, _out, err = _cli(["sweep", "cli-any", "--param", "x",
+                                "--values", "3,3", "--cache-dir", cache])
+        _assert_rejected(code, err, cache, "repeats a value")
+
+    def test_sweeping_a_performance_parameter(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        code, _out, err = _cli(["sweep", "cli-any", "--param",
+                                "batch_size", "--values", "1,2",
+                                "--cache-dir", cache])
+        _assert_rejected(code, err, cache, "--batch-size")
+
+
+class TestFailedRuns:
+    """A run that fails prints one ``error:`` line and exits 2, the
+    way a rejected argument does, at any ``--jobs``."""
+
+    def test_unusable_seed_value(self, tmp_path):
+        # 1e400 parses as inf, which no RNG accepts.
+        code, _out, err = _cli(["run", "fig01", "--set", "seed=1e400",
+                                "--no-cache",
+                                "--cache-dir", str(tmp_path / "c")])
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert "error:" in err.strip().splitlines()[-1]
+        assert "fig01" in err and "TypeError" in err
+
+    def test_failing_experiment_under_a_pool(self, tmp_path):
+        code, _out, err = _cli(["run", "cell", "--set",
+                                "workload=bogus", "--jobs", "2",
+                                "--cache-dir", str(tmp_path / "c")])
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("error:")
+        assert "unknown workload 'bogus'" in err
+
+    def test_no_cache_leaves_the_cache_dir_untouched(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        code, out, _err = _cli(["run", "cli-any", "--seeds", "1,2",
+                                "--no-cache", "--cache-dir", cache])
+        assert code == 0 and "size" in out
+        assert not os.path.exists(cache)
+
+
+class TestOddValues:
+    """Values the property test found crashing the run path."""
+
+    def test_dict_with_mixed_key_types(self, tmp_path):
+        code, out, err = _cli(["run", "cli-any", "--set",
+                               "x={None: 1, 1: 2}",
+                               "--cache-dir", str(tmp_path)])
+        assert code == 0, err
+        assert "size" in out
+
+    def test_values_json_cannot_encode(self, tmp_path):
+        # bytes and complex values reach the store's manifest.
+        code, out, err = _cli(["sweep", "cli-any", "--param", "x",
+                               "--values", "b'',1j",
+                               "--cache-dir", str(tmp_path)])
+        assert code == 0, err
+        assert "x=b''" in out and "x=1j" in out
+
+
+_TEXT = st.text(max_size=12)
+#: Python-literal spellings, so ``--set``/``--values`` parsing reaches
+#: sets, dicts with mixed keys, bytes, complex numbers and nesting.
+_LITERAL = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4) | st.binary(max_size=3)
+    | st.complex_numbers(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.tuples(inner, inner)
+                   | st.sets(st.integers() | st.text(max_size=3),
+                             max_size=3)
+                   | st.dictionaries(st.none() | st.integers(0, 2)
+                                     | st.text(max_size=1),
+                                     inner, min_size=2, max_size=3)),
+    max_leaves=6).map(repr)
+_VALUE = _TEXT | _LITERAL | st.sampled_from(
+    ["1e400", "-1e400", "1e400j", "nan", "(", "[1,", "()", "", "1,2"])
+#: Mostly declared names, so most commands get past name validation.
+_KEY = st.sampled_from(["seed", "x", "batch_size"]) \
+    | st.text(min_size=1, max_size=12)
+_SEEDS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(
+    lambda seeds: ",".join(map(str, seeds))) | _TEXT
+_VALUES = st.lists(_VALUE, max_size=4).map(",".join)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["run", "sweep"]))
+    argv = [command, "cli-any"]
+    for key, value in draw(st.lists(st.tuples(_KEY, _VALUE),
+                                    max_size=3)):
+        argv.append(f"--set={key}={value}")
+    if draw(st.booleans()) and draw(st.booleans()):
+        argv.append(f"--set={draw(_TEXT)}")
+    if command == "sweep":
+        argv += [f"--param={draw(_KEY)}", f"--values={draw(_VALUES)}"]
+    seeds = draw(st.none() | _SEEDS)
+    if seeds is not None:
+        argv.append(f"--seeds={seeds}")
+    for flag, low, high in (("--replicates", -2, 5), ("--jobs", -2, 3)):
+        number = draw(st.none() | st.integers(low, high))
+        if number is not None:
+            argv.append(f"{flag}={number}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_every_command_runs_or_is_rejected_cleanly(argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        cache = os.path.join(scratch, "cache")
+        code, _out, err = _cli(argv + [f"--cache-dir={cache}"])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            _assert_rejected(code, err, cache)
