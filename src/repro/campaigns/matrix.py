@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import (Any, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from repro.experiments.api import (PERF_PARAMS, Scenario, _canonical,
-                                   _canonical_json, get_experiment)
+from repro.experiments.api import (_canonical, _canonical_json,
+                                   get_experiment)
 
 __all__ = ["Axis", "RandomAxis", "CampaignMatrix", "CampaignScenario",
            "CampaignError", "derive_scenario_seed"]
@@ -237,15 +237,11 @@ class CampaignMatrix:
 
         Everything that changes the scenario set changes the digest —
         and nothing else does (axis declaration order, in particular,
-        does not, and neither do :data:`PERF_PARAMS` in ``base``, which
-        scenario ids ignore too).  The checkpoint store keys its
-        directory on this, so an edited campaign never resumes from a
-        stale checkpoint.
+        does not).  The checkpoint store keys its directory on this,
+        so an edited campaign never resumes from a stale checkpoint.
         """
         manifest = self.to_manifest()
         manifest.pop("description", None)
-        manifest["base"] = {k: v for k, v in manifest["base"].items()
-                            if k not in PERF_PARAMS}
         return hashlib.sha256(
             _canonical_json(manifest).encode()).hexdigest()[:12]
 

@@ -15,10 +15,10 @@ Commands:
 * ``list`` — enumerate the registered paper experiments.
 * ``run`` — run one registered experiment (``--set key=val``
   overrides, ``--jobs N`` parallelism, ``--seeds``/``--replicates``
-  fan-out, ``--phy-backend full|surrogate``, cached results,
-  JSON/npz output).  Replicates run on the campaign engine, so a
-  rejected argument and a run that still fails after its retries
-  both print one ``error:`` line and exit 2.
+  fan-out, ``--phy-backend full|surrogate`` as shorthand for ``--set
+  phy_backend=…``, cached results, JSON/npz output).  Replicates run
+  on the campaign engine, so a rejected argument and a run that still
+  fails after its retries both print one ``error:`` line and exit 2.
 * ``sweep`` — run one experiment across a parameter sweep.
 * ``campaign`` — thousand-scenario sweeps: ``campaign list`` shows the
   registered matrices, ``campaign run`` executes one (sharded via
@@ -50,7 +50,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
+import itertools
 import sys
+import tokenize
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -86,21 +89,39 @@ def _parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
 
 
 def _split_top_level(text: str) -> List[str]:
-    """Split on commas outside brackets/parens, so one comma-bearing
-    literal (``(100,1400)``) stays one piece."""
-    pieces, depth, current = [], 0, []
-    for char in text:
-        if char in "([{":
-            depth += 1
-        elif char in ")]}":
-            depth -= 1
-        if char == "," and depth == 0:
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    pieces.append("".join(current))
-    return [p.strip() for p in pieces if p.strip()]
+    """Split at the commas Python's tokenizer sees outside brackets and
+    string literals, so a comma-bearing literal (``(100,1400)``,
+    ``'a,b'``) stays one piece.
+
+    Raises:
+        ValueError: unbalanced brackets or an unterminated string.
+    """
+    error = ValueError(f"--values: unbalanced brackets or unterminated "
+                       f"string in {text!r}")
+    lines = io.StringIO(text).readlines()
+    line_starts = list(itertools.accumulate(map(len, lines), initial=0))
+    cuts, depth = [], 0
+    try:
+        for tok in tokenize.generate_tokens(iter(lines).__next__):
+            if tok.type == tokenize.ERRORTOKEN \
+                    and tok.string.startswith(("'", '"')):
+                raise error
+            if tok.type != tokenize.OP:
+                continue
+            if tok.string in ("(", "[", "{"):
+                depth += 1
+            elif tok.string in (")", "]", "}"):
+                depth -= 1
+                if depth < 0:
+                    raise error
+            elif tok.string == "," and depth == 0:
+                row, col = tok.start
+                cuts.append(line_starts[row - 1] + col)
+    except (tokenize.TokenError, SyntaxError):
+        raise error from None
+    pieces = [text[start + 1:end].strip()
+              for start, end in zip([-1] + cuts, cuts + [len(text)])]
+    return [p for p in pieces if p]
 
 
 def _parse_values(text: str) -> List[Any]:
@@ -109,6 +130,17 @@ def _parse_values(text: str) -> List[Any]:
     "(100,1400)"`` -> one tuple; ``--values "(1,),(2,)"`` -> two
     tuples; ``--values softrate,rraa`` -> two strings)."""
     return [_parse_value(v) for v in _split_top_level(text)]
+
+
+def _runner_overrides(args) -> Dict[str, Any]:
+    """``--set`` pairs plus ``--phy-backend NAME``, shorthand for
+    ``--set phy_backend=NAME`` (an explicit ``--set`` wins)."""
+    overrides = _parse_overrides(args.overrides)
+    if args.phy_backend is not None:
+        from repro.phy.backend import validate_backend_name
+        overrides.setdefault("phy_backend",
+                             validate_backend_name(args.phy_backend))
+    return overrides
 
 
 def _parse_seeds(args) -> Optional[List[int]]:
@@ -274,7 +306,6 @@ def _cmd_calibrate(args) -> int:
     table = calibrate(snr_grid_db=grid,
                       frames_per_point=args.frames_per_point,
                       payload_bits=args.payload_bits, seed=args.seed,
-                      batch_size=args.batch_size,
                       progress=lambda line: print(line, flush=True))
     table.save(args.output)
     print(f"wrote {args.output}: {table.n_rates} rates x "
@@ -327,9 +358,7 @@ def _invoke_runner(args, call):
     try:
         with (tempfile.TemporaryDirectory() if args.no_cache else
               contextlib.nullcontext(args.cache_dir)) as cache_dir:
-            runner = Runner(jobs=args.jobs, cache_dir=cache_dir,
-                            batch_size=args.batch_size,
-                            phy_backend=args.phy_backend)
+            runner = Runner(jobs=args.jobs, cache_dir=cache_dir)
             return call(runner), None
     except UnknownExperimentError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
@@ -342,7 +371,7 @@ def _invoke_runner(args, call):
 def _cmd_run(args) -> int:
     result, code = _invoke_runner(
         args, lambda runner: runner.run(
-            args.experiment, _parse_overrides(args.overrides),
+            args.experiment, _runner_overrides(args),
             seeds=_parse_seeds(args)))
     if result is None:
         return code
@@ -357,8 +386,7 @@ def _cmd_sweep(args) -> int:
     results, code = _invoke_runner(
         args, lambda runner: runner.sweep(
             args.experiment, args.param, _parse_values(args.values),
-            _parse_overrides(args.overrides),
-            seeds=_parse_seeds(args)))
+            _runner_overrides(args), seeds=_parse_seeds(args)))
     if results is None:
         return code
     metrics = sorted({k for r in results for k in r.aggregates})
@@ -731,14 +759,9 @@ def _add_runner_options(p: argparse.ArgumentParser) -> None:
                    help="base for --replicates seed derivation")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the replicate/sweep fan")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="frames decoded per batched-PHY call, for "
-                        "experiments that declare the knob (results "
-                        "are identical at any value; higher = faster, "
-                        "more memory)")
     p.add_argument("--phy-backend", default=None,
-                   help="PHY backend (full|surrogate) for experiments "
-                        "that declare the knob; the surrogate is "
+                   help="shorthand for --set phy_backend=NAME "
+                        "(full|surrogate); the surrogate is "
                         "calibrated, not bit-exact, so it changes "
                         "results and is part of the cache key")
     p.add_argument("--output", help="write result (.json or .npz)")
@@ -811,7 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo frames per (rate, SNR) point")
     p.add_argument("--payload-bits", type=int, default=1600)
     p.add_argument("--seed", type=int, default=2009)
-    p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--snr-min", type=float, default=None,
                    help="grid start in dB (default -2)")
     p.add_argument("--snr-max", type=float, default=None,

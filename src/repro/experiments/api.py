@@ -45,13 +45,6 @@ __all__ = ["ExperimentSpec", "Scenario", "ExperimentResult", "Runner",
 #: Bump to invalidate previously cached results on disk.
 CACHE_VERSION = 1
 
-#: Parameters that tune throughput but are guaranteed (and tested) not
-#: to change an experiment's results — e.g. ``batch_size``, which only
-#: sets how many frames the PHY decodes at once.  They are excluded
-#: from content hashes so a cached result stays valid at any setting,
-#: and the Runner injects its own default into specs that declare them.
-PERF_PARAMS = frozenset({"batch_size"})
-
 #: Modules that self-register an experiment on import; ``load_all``
 #: imports them so the registry is complete in any process.
 _EXPERIMENT_MODULES = (
@@ -103,13 +96,12 @@ def _canonical(value: Any) -> Any:
 
     Non-finite floats become ``null`` so the output is strict JSON
     (``json.dumps`` would otherwise emit the non-standard ``NaN``).
+    Mapping keys are encoded by :func:`_canonical_key`.
     """
     if isinstance(value, Mapping):
-        try:
-            keys = sorted(value)
-        except TypeError:               # mixed key types: {None: 1, 1: 2}
-            keys = sorted(value, key=repr)
-        return {str(k): _canonical(value[k]) for k in keys}
+        items = sorted(((_canonical_key(k), v) for k, v in value.items()),
+                       key=lambda item: item[0])
+        return {key: _canonical(v) for key, v in items}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if isinstance(value, np.generic):
@@ -122,6 +114,21 @@ def _canonical(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return repr(value)
+
+
+def _canonical_key(key: Any) -> str:
+    """A mapping key as a JSON object key: a ``str`` stays itself, any
+    other key becomes its type name, ``:`` and its canonical JSON
+    (``1`` -> ``"int:1"``, ``None`` -> ``"NoneType:null"``), so keys
+    of different types no longer merge.  Canonical output maps to
+    itself, which the store's CRC check relies on; so a mapping and
+    its own canonical form, ``{1: 0}`` and ``{"int:1": 0}``, are one
+    parameterization."""
+    if isinstance(key, np.generic):
+        key = key.item()
+    if isinstance(key, str):
+        return key
+    return f"{type(key).__name__}:{_canonical_json(key)}"
 
 
 def _decode_metrics(data: Mapping[str, Any]) -> Dict[str, float]:
@@ -187,11 +194,6 @@ class ExperimentSpec:
                     if isinstance(v, (int, float, np.generic))}
         return {}
 
-    @property
-    def supports_batching(self) -> bool:
-        """Whether the spec declares the ``batch_size`` throughput knob."""
-        return "batch_size" in self.params
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -209,15 +211,12 @@ class Scenario:
     def content_hash(self) -> str:
         """Stable digest of (experiment, params, cache version).
 
-        Performance-only parameters (:data:`PERF_PARAMS`) are excluded:
-        they cannot change results, so one cached record serves every
-        setting.  Surrogate-backend scenarios additionally fold in the
+        Surrogate-backend scenarios additionally fold in the
         calibration table's content digest, so ``repro calibrate``
         invalidates their cached results instead of silently serving
         pre-recalibration numbers.
         """
-        params = {k: v for k, v in self.params.items()
-                  if k not in PERF_PARAMS}
+        params = dict(self.params)
         if params.get("phy_backend") == "surrogate":
             from repro.phy.calibration import default_fingerprint
             params["calibration_fingerprint"] = default_fingerprint()
@@ -510,66 +509,26 @@ class Runner:
     under ``{cache_dir}/campaigns/`` in ``run-<experiment>-<digest>``.
     A failing replicate is retried, a dying worker under ``jobs > 1``
     is replaced, and a rerun executes only the replicates that have
-    no record yet.  The cache key is the matrix digest, which ignores
-    :data:`PERF_PARAMS`; the records are keyed by scenario id, which
-    also folds in the surrogate calibration fingerprint, so a
-    recalibration recomputes surrogate results.
+    no record yet.  The cache key is the matrix digest; the records
+    are keyed by scenario id, which also folds in the surrogate
+    calibration fingerprint, so a recalibration recomputes surrogate
+    results.  The PHY backend is an override like any other parameter.
 
     Args:
         jobs: worker processes (1 = run serially in-process; more =
             a supervised pool of that many workers).
         cache_dir: root of the result store (created on first use);
             point it at a throwaway directory to disable caching.
-        batch_size: injected as the ``batch_size`` override for specs
-            that declare the knob — a pure throughput setting,
-            excluded from cache identity (:data:`PERF_PARAMS`).
-        phy_backend: PHY backend name (``"full"`` / ``"surrogate"``)
-            injected for specs that declare a ``phy_backend``
-            parameter.  Unlike ``batch_size`` it **changes results**
-            (the surrogate is calibrated, not bit-exact), so it
-            participates in cache identity like any other parameter.
-
-    Raises:
-        ValueError: ``phy_backend`` names no known backend; the
-            message lists the valid names.
 
     Example::
 
-        Runner(jobs=4, phy_backend="surrogate").run(
-            "fig07", seeds=[1, 2, 3, 4])
+        Runner(jobs=4).run("fig07", {"phy_backend": "surrogate"},
+                           seeds=[1, 2, 3, 4])
     """
 
-    def __init__(self, jobs: int = 1, cache_dir: str = ".repro-cache",
-                 batch_size: Optional[int] = None,
-                 phy_backend: Optional[str] = None):
+    def __init__(self, jobs: int = 1, cache_dir: str = ".repro-cache"):
         self.jobs = max(int(jobs), 1)
         self.cache_dir = cache_dir
-        #: When set, injected as the ``batch_size`` override for specs
-        #: that declare the knob (see :data:`PERF_PARAMS`); specs
-        #: without it are unaffected, so sweeps can pass one value for
-        #: a mixed bag of experiments.
-        self.batch_size = batch_size
-        if phy_backend is not None:
-            from repro.phy.backend import validate_backend_name
-            validate_backend_name(phy_backend)
-        #: Backend name injected for specs declaring ``phy_backend``.
-        self.phy_backend = phy_backend
-
-    def _with_runner_knobs(self, spec: ExperimentSpec,
-                           overrides: Optional[Mapping[str, Any]]
-                           ) -> Dict[str, Any]:
-        """Merge the runner's batch_size / phy_backend into
-        ``overrides`` where the spec declares the knob and the caller
-        did not pin it."""
-        merged = dict(overrides or {})
-        if (self.batch_size is not None and spec.supports_batching
-                and "batch_size" not in merged):
-            merged["batch_size"] = int(self.batch_size)
-        if (self.phy_backend is not None
-                and "phy_backend" in spec.params
-                and "phy_backend" not in merged):
-            merged["phy_backend"] = self.phy_backend
-        return merged
 
     def run(self, name: str,
             overrides: Optional[Mapping[str, Any]] = None,
@@ -599,11 +558,6 @@ class Runner:
         across the whole grid; a value of ``param`` beats an override
         of the same key.  Returns one result per value, in order.
         """
-        if param in PERF_PARAMS:
-            raise ValueError(
-                f"{param!r} only tunes throughput and cannot change "
-                f"results, so sweeping it would repeat one run; set "
-                f"it with --batch-size (Runner(batch_size=...))")
         return self._fan(name, overrides, seeds, param, list(values))
 
     def _fan(self, name: str, overrides: Optional[Mapping[str, Any]],
@@ -625,7 +579,7 @@ class Runner:
             raise ValueError(
                 f"cannot sweep {param!r} while fanning seeds: the "
                 "replicate fan rewrites that parameter per seed")
-        base = self._with_runner_knobs(spec, overrides)
+        base = dict(overrides or {})
         axes = []
         if param is not None:
             base.pop(param, None)
@@ -675,9 +629,8 @@ class Runner:
         for value in values:
             point = [by_cell[cell(value, seed)] for seed in seed_values]
             rows = [records[s.scenario_id] for s in point]
-            # The request's params (so a hit reports the batch_size
-            # asked for now); a seed fan's ``seeds`` replaces the
-            # per-replicate seed parameter.
+            # A seed fan's ``seeds`` replaces the per-replicate seed
+            # parameter.
             params = dict(point[0].params)
             if seed_list:
                 params.pop(seed_param)

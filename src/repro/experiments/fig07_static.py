@@ -22,6 +22,7 @@ from repro.analysis.binning import (BinnedBer, aggregate_bits_per_bin,
                                     log_bin_ber)
 from repro.core.hints import frame_ber_estimate
 from repro.experiments.api import register_experiment
+from repro.phy import batch
 from repro.phy.rates import RATE_TABLE
 from repro.phy.snr import db_to_linear
 from repro.phy.transceiver import Transceiver
@@ -89,10 +90,10 @@ def _metrics(data: Fig7Data) -> dict:
     "fig07",
     description="SoftPHY vs SNR BER estimation on a static channel",
     params={"seed": 7, "payload_bits": 1600, "frames_per_point": 4,
-            "batch_size": 16, "phy_backend": "full"},
+            "phy_backend": "full"},
     traces=(), algorithms=(), metrics=_metrics)
 def run_fig7(seed: int = 7, payload_bits: int = 1600,
-             frames_per_point: int = 4, batch_size: int = 16,
+             frames_per_point: int = 4,
              snr_grid_db: np.ndarray = None,
              rate_indices: List[int] = None,
              phy_backend="full") -> Fig7Data:
@@ -101,11 +102,9 @@ def run_fig7(seed: int = 7, payload_bits: int = 1600,
     The default grid covers each rate's waterfall region so the
     collected frames span BERs from ~0.3 down past 1e-6.
 
-    ``batch_size`` frames are decoded at a time through the batched
-    PHY fast path.  Noise is drawn frame-by-frame in sweep order, so
-    the results are bit-identical for every ``batch_size`` (including
-    1, the per-frame reference path) — the knob only trades memory for
-    throughput.
+    Frames are decoded :data:`repro.phy.batch.FRAMES_PER_DECODE` at a
+    time through the batched PHY.  Noise is drawn frame-by-frame in
+    sweep order, so the results are bit-identical at any stack size.
 
     ``phy_backend`` selects how frames are computed: ``"full"`` (the
     bit-exact pipeline, default) or ``"surrogate"`` (the calibrated
@@ -118,7 +117,6 @@ def run_fig7(seed: int = 7, payload_bits: int = 1600,
         rate_indices = list(range(len(rates)))
     if snr_grid_db is None:
         snr_grid_db = np.arange(0.0, 19.0, 1.0)
-    batch_size = max(int(batch_size), 1)
 
     if phy_backend != "full":
         from repro.phy.backend import get_backend
@@ -136,8 +134,8 @@ def run_fig7(seed: int = 7, payload_bits: int = 1600,
         # same order the sequential loop would visit them.
         noise_vars = np.repeat([db_to_linear(-float(s))
                                 for s in snr_grid_db], frames_per_point)
-        for start in range(0, noise_vars.size, batch_size):
-            chunk = noise_vars[start:start + batch_size]
+        for start in range(0, noise_vars.size, batch.FRAMES_PER_DECODE):
+            chunk = noise_vars[start:start + batch.FRAMES_PER_DECODE]
             gains = np.ones((chunk.size, tx.layout.n_symbols),
                             dtype=complex)
             for rx in phy.run_batch(tx, gains, chunk, rng):

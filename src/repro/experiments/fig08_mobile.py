@@ -23,6 +23,7 @@ from repro.channel.awgn import apply_channel
 from repro.channel.rayleigh import RayleighFadingProcess
 from repro.core.hints import frame_ber_estimate
 from repro.experiments.api import register_experiment
+from repro.phy import batch
 from repro.phy.snr import db_to_linear, snr_to_db
 from repro.phy.transceiver import Transceiver
 
@@ -107,11 +108,10 @@ def _metrics(data: MobileBerData) -> dict:
     "fig08",
     description="BER estimation across mobility speeds (Figs. 8 & 9)",
     params={"seed": 8, "payload_bits": 1600, "n_frames": 60,
-            "rate_index": 3, "batch_size": 16, "phy_backend": "full"},
+            "rate_index": 3, "phy_backend": "full"},
     traces=("rayleigh",), algorithms=(), metrics=_metrics)
 def run_fig8(seed: int = 8, payload_bits: int = 1600,
              n_frames: int = 60, rate_index: int = 3,
-             batch_size: int = 16,
              dopplers: Dict[str, float] = None,
              mean_snr_range_db: Tuple[float, float] = (4.0, 14.0),
              phy_backend="full") -> MobileBerData:
@@ -121,10 +121,10 @@ def run_fig8(seed: int = 8, payload_bits: int = 1600,
     drawn uniformly across the waterfall region, so both lossy and
     clean frames appear at every Doppler.
 
-    Frames are decoded ``batch_size`` at a time through the batched
-    PHY fast path; fading and noise are drawn frame-by-frame in the
-    original sequential order, so results are bit-identical for every
-    ``batch_size`` (1 reproduces the per-frame reference path).
+    Frames are decoded :data:`repro.phy.batch.FRAMES_PER_DECODE` at a
+    time through the batched PHY; fading and noise are drawn
+    frame-by-frame in the original sequential order, so results are
+    bit-identical at any stack size.
 
     ``phy_backend`` selects how frames are computed: ``"full"`` (the
     bit-exact pipeline, default) or ``"surrogate"`` (the calibrated
@@ -134,7 +134,6 @@ def run_fig8(seed: int = 8, payload_bits: int = 1600,
     if dopplers is None:
         dopplers = {"walking": 40.0, "vehicular": 400.0}
     phy = Transceiver()
-    batch_size = max(int(batch_size), 1)
 
     if phy_backend != "full":
         from repro.phy.backend import get_backend
@@ -157,8 +156,8 @@ def run_fig8(seed: int = 8, payload_bits: int = 1600,
     for label, doppler in dopplers.items():
         rng = np.random.default_rng(seed + int(doppler))
         est, tru, snr = [], [], []
-        for start in range(0, n_frames, batch_size):
-            chunk = min(batch_size, n_frames - start)
+        for start in range(0, n_frames, batch.FRAMES_PER_DECODE):
+            chunk = min(batch.FRAMES_PER_DECODE, n_frames - start)
             gains = np.empty((chunk, n_symbols), dtype=complex)
             rx_syms = np.empty((chunk, n_symbols,
                                 phy.mode.n_subcarriers), dtype=complex)

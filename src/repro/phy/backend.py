@@ -680,9 +680,8 @@ def validate_backend_name(name: str) -> str:
     """Check a backend *name* without building the backend.
 
     Used by call sites that accept the name long before resolving it
-    (e.g. :class:`repro.experiments.api.Runner`), so typos fail at
-    configuration time with the same message :func:`get_backend`
-    would produce.
+    (e.g. ``repro run --phy-backend``), so typos fail before anything
+    runs, with the same message :func:`get_backend` would produce.
 
     Returns:
         The validated name, unchanged.

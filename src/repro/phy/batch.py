@@ -11,12 +11,13 @@ receive — using the batched kernels in :mod:`repro.phy.convcode`,
 :mod:`repro.phy.viterbi`, whose per-trellis-step loops advance all
 frames together.
 
-The batched path is **bit-identical** to the per-frame reference path
-(:meth:`Transceiver.transmit` / :meth:`Transceiver.receive`): it
-performs exactly the same elementwise float operations and last-axis
-reductions, just with a leading frame axis.  The parity suite in
-``tests/phy/test_batch.py`` locks this in across all modulations and
-code rates.
+The batched receive path is **bit-identical** to the per-frame
+reference path (:meth:`Transceiver.receive`): it performs exactly the
+same elementwise float operations and last-axis reductions, just with
+a leading frame axis.  :meth:`Transceiver.transmit` is
+:func:`batch_transmit` of a one-frame stack.  The parity suite in
+``tests/phy/test_batch.py`` locks both in against scalar references,
+across all modulations and code rates.
 
 Per-frame steps that are cheap C-backed calls (CRC-32, preamble SNR
 estimation, header parsing) intentionally stay scalar loops: they are
@@ -25,7 +26,9 @@ identical floats for the preamble noise estimate.
 
 Entry points: :func:`batch_transmit` / :func:`batch_receive`, or the
 :class:`~repro.phy.transceiver.Transceiver` conveniences
-``transmit_batch`` / ``receive_batch`` / ``run_batch``.
+``transmit_batch`` / ``receive_batch`` / ``run_batch``.  The Monte
+Carlo sweeps (fig07, fig08, :func:`repro.phy.calibrate.calibrate`)
+hand the PHY :data:`FRAMES_PER_DECODE` frames per call.
 """
 
 from __future__ import annotations
@@ -46,7 +49,15 @@ from repro.phy.ofdm import FrameLayout, training_symbols
 from repro.phy.snr import estimate_preamble_snr
 from repro.phy.viterbi import viterbi_decode_batch
 
-__all__ = ["TxBatch", "batch_transmit", "batch_receive"]
+__all__ = ["TxBatch", "batch_transmit", "batch_receive",
+           "FRAMES_PER_DECODE"]
+
+#: Frames the Monte Carlo sweeps decode per batched call.  It bounds
+#: the BCJR's memory at ``16 * T * F * S`` bytes per call (see
+#: :mod:`repro.phy.bcjr`); results are bit-identical at any value, so
+#: it is a constant, not a parameter.  Sweeps read it through this
+#: module at call time.
+FRAMES_PER_DECODE = 16
 
 
 @dataclass
@@ -89,7 +100,7 @@ class TxBatch:
 
 def _encode_block_batch(phy, info_bits: np.ndarray, code_rate,
                         bits_per_symbol: int, pad: int) -> np.ndarray:
-    """Batched analogue of ``Transceiver._encode_block``.
+    """Encode, puncture, pad and interleave one coded region.
 
     ``info_bits`` is ``(n_frames, n_info)``; returns the interleaved
     coded streams, one row per frame.
@@ -118,12 +129,11 @@ def batch_transmit(phy, payloads: np.ndarray, rate_index: int,
             :class:`FrameLayout`).
         rate_index: rate-table index for every frame body.
         dest, src, flags: link-header fields shared by the batch.
-        seqs: per-frame sequence numbers (default: all 0, matching the
-            scalar :meth:`Transceiver.transmit` default).
+        seqs: per-frame sequence numbers (default: all 0).
 
     Returns:
-        A :class:`TxBatch` whose ``symbols[i]`` are bit-identical to
-        ``phy.transmit(payloads[i], ...).symbols``.
+        A :class:`TxBatch`; ``batch.frame(i)`` is the frame
+        ``phy.transmit(payloads[i], ..., seq=seqs[i])`` builds.
 
     Example::
 

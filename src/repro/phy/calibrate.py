@@ -408,7 +408,6 @@ def calibrate(phy=None,
               frames_per_point: int = 24,
               payload_bits: int = 1600,
               seed: int = 2009,
-              batch_size: int = 16,
               interference_snr_db: float = 20.0,
               interference_frames: int = 16,
               progress: Optional[Callable[[str], None]] = None
@@ -417,8 +416,10 @@ def calibrate(phy=None,
 
     Sweeps every rate over ``snr_grid_db``, decoding
     ``frames_per_point`` independent AWGN realisations per point
-    through the batched fast path, then measures the equal-power
-    interference response at ``interference_snr_db``.
+    through the batched PHY, :data:`repro.phy.batch.FRAMES_PER_DECODE`
+    frames per call (the table is bit-identical at any stack size),
+    then measures the equal-power interference response at
+    ``interference_snr_db``.
 
     Args:
         phy: the :class:`~repro.phy.transceiver.Transceiver` to
@@ -428,7 +429,6 @@ def calibrate(phy=None,
         frames_per_point: Monte Carlo frames per (rate, SNR) point.
         payload_bits: payload size of the calibration frames.
         seed: RNG seed (the table records it for provenance).
-        batch_size: frames decoded per batched-PHY call.
         interference_snr_db: channel SNR of the interference probe.
         interference_frames: frames for the interference probe.
         progress: optional callback receiving one line per rate.
@@ -443,6 +443,7 @@ def calibrate(phy=None,
     """
     from repro.channel.awgn import apply_channel, awgn
     from repro.core.hints import error_probabilities
+    from repro.phy import batch
     from repro.phy.transceiver import Transceiver
 
     phy = phy if phy is not None else Transceiver()
@@ -477,7 +478,8 @@ def calibrate(phy=None,
             err_logs, clean_logs = [], []
             done = 0
             while done < frames_per_point:
-                chunk = min(batch_size, frames_per_point - done)
+                chunk = min(batch.FRAMES_PER_DECODE,
+                            frames_per_point - done)
                 gains = np.ones((chunk, tx.layout.n_symbols),
                                 dtype=complex)
                 for rx in phy.run_batch(tx, gains, noise_var, rng):

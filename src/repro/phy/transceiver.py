@@ -29,10 +29,10 @@ import numpy as np
 
 from repro.phy import bits as bitutil
 from repro.phy.bcjr import bcjr_decode
-from repro.phy.convcode import ConvolutionalCode, depuncture, puncture
+from repro.phy.convcode import ConvolutionalCode, depuncture
 from repro.phy.frame import HEADER_BITS, LinkHeader
-from repro.phy.interleaver import deinterleave, interleave
-from repro.phy.modulation import CONSTELLATIONS, modulate, soft_demap
+from repro.phy.interleaver import deinterleave
+from repro.phy.modulation import CONSTELLATIONS, soft_demap
 from repro.phy.ofdm import (FrameLayout, build_layout, region_symbols,
                             training_symbols)
 from repro.phy.rates import MODES, RATE_TABLE, OperatingMode, RateTable
@@ -196,22 +196,13 @@ class Transceiver:
                 rate.bits_per_symbol * self.mode.n_subcarriers).n_symbols
         return n_symbols * self.mode.symbol_time
 
-    def _encode_block(self, info_bits: np.ndarray, code_rate,
-                      bits_per_symbol: int, pad: int) -> np.ndarray:
-        """Encode, puncture, pad, and interleave one coded region."""
-        coded = self.code.encode(info_bits)
-        punctured = puncture(coded, code_rate)
-        padded = np.concatenate(
-            [punctured, np.zeros(pad, dtype=np.uint8)])
-        if not self.use_interleaver:
-            return padded
-        block = bits_per_symbol * self.mode.n_subcarriers
-        return interleave(padded, block, bits_per_symbol)
-
     def transmit(self, payload_bits: np.ndarray, rate_index: int,
                  dest: int = 1, src: int = 0, seq: int = 0,
                  flags: int = 0) -> TxFrame:
         """Build the OFDM symbols for one frame.
+
+        The batched transmit path at one frame: :meth:`transmit_batch`
+        of a one-frame stack.
 
         Args:
             payload_bits: byte-aligned payload bit array.
@@ -224,42 +215,9 @@ class Transceiver:
             and the result into :meth:`receive`.
         """
         payload_bits = np.asarray(payload_bits, dtype=np.uint8)
-        layout = self.frame_layout(payload_bits.size, rate_index)
-        from repro.phy.frame import FLAG_HAS_POSTAMBLE
-        if layout.has_postamble:
-            flags |= FLAG_HAS_POSTAMBLE
-        header = LinkHeader(dest=dest, src=src, seq=seq,
-                            rate_index=rate_index,
-                            length_bytes=payload_bits.size // 8,
-                            flags=flags)
-
-        body_info = bitutil.append_crc32(payload_bits)
-        if self.scramble:
-            body_info = bitutil.scramble(body_info, _SCRAMBLE_SEED)
-
-        rate = self.rates[rate_index]
-        base = self.rates.lowest
-        header_stream = self._encode_block(
-            header.to_bits(), base.code_rate, base.bits_per_symbol,
-            layout.header_pad_bits)
-        body_stream = self._encode_block(
-            body_info, rate.code_rate, rate.bits_per_symbol,
-            layout.body_pad_bits)
-
-        n = self.mode.n_subcarriers
-        parts = [training_symbols(layout.n_preamble_symbols, n)]
-        parts.append(modulate(header_stream,
-                              base.modulation).reshape(-1, n))
-        parts.append(modulate(body_stream, rate.modulation).reshape(-1, n))
-        if layout.has_postamble:
-            parts.append(training_symbols(layout.n_preamble_symbols + 1,
-                                          n)[-1:])
-        symbols = np.concatenate(parts, axis=0)
-        if symbols.shape[0] != layout.n_symbols:
-            raise AssertionError("layout/symbol count mismatch")
-        return TxFrame(header=header, payload_bits=payload_bits,
-                       body_info_bits=body_info, symbols=symbols,
-                       layout=layout)
+        return self.transmit_batch(payload_bits[None], rate_index,
+                                   dest=dest, src=src, seqs=[seq],
+                                   flags=flags).frame(0)
 
     # ------------------------------------------------------------------
     # Receive path
@@ -378,7 +336,8 @@ class Transceiver:
                        dest: int = 1, src: int = 0, seqs=None,
                        flags: int = 0):
         """Build a :class:`~repro.phy.batch.TxBatch` of equal-length
-        frames; bit-identical to calling :meth:`transmit` per frame."""
+        frames; ``batch.frame(i)`` is what :meth:`transmit` builds for
+        frame ``i``."""
         from repro.phy.batch import batch_transmit
         return batch_transmit(self, payloads, rate_index, dest=dest,
                               src=src, seqs=seqs, flags=flags)

@@ -7,9 +7,12 @@ import pytest
 
 import pickle
 
+from hypothesis import assume, given, settings, strategies as st
+
 from repro.experiments.api import (ExperimentExecutionError,
                                    ExperimentResult, Runner, Scenario,
-                                   UnknownParameterError, derive_seeds,
+                                   UnknownParameterError, _canonical,
+                                   _canonical_json, derive_seeds,
                                    execute_task, experiment_names,
                                    get_experiment, list_experiments,
                                    load_all, register_experiment, run)
@@ -78,6 +81,48 @@ class TestSpecValidation:
         a = spec.scenario({"client_counts": (1, 2)}).content_hash()
         b = spec.scenario({"client_counts": [1, 2]}).content_hash()
         assert a == b
+
+    @pytest.mark.parametrize("a, b", [
+        ({1: "a", "1": "b"}, {1: "a"}),
+        ({1: "a", "1": "b"}, {"1": "b"}),
+        ({1: "a"}, {"1": "a"}),
+        ({None: 1}, {"None": 1}),
+    ])
+    def test_dict_keys_of_different_types_hash_apart(self, a, b):
+        """Keys used to canonicalize through ``str()``: ``{1: 'a',
+        '1': 'b'}`` lost an entry and ``{1: 'a'}``, ``{'1': 'a'}``
+        shared one scenario id."""
+        assert len(_canonical(a)) == len(a)
+        assert Scenario("fig01", {"x": a}).content_hash() != \
+            Scenario("fig01", {"x": b}).content_hash()
+
+    def test_str_keyed_dicts_keep_their_encoding(self):
+        assert _canonical_json({"b": 1, "a": {"c": [2]}}) == \
+            '{"a":{"c":[2]},"b":1}'
+
+
+#: ``str`` keys that do not spell an encoded int or None key such as
+#: ``"int:0"``: a mapping and its canonical form are one
+#: parameterization by design (see ``_canonical_key``).
+_DICT_KEYS = (st.integers(-2, 2) | st.none()
+              | st.text(max_size=6).filter(
+                  lambda k: not k.startswith(("int:", "NoneType:"))))
+_DICTS = st.dictionaries(_DICT_KEYS, st.integers(-2, 2)
+                         | st.text(max_size=2), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_DICTS, data=st.data())
+def test_unequal_dicts_never_share_a_content_hash(a, data):
+    """Two unequal dicts with int, str or None keys never get one
+    scenario id; ``b`` is often ``a`` with every key made a string.
+    Canonical output canonicalizes to itself."""
+    b = data.draw(_DICTS | st.just({str(k): v for k, v in a.items()}),
+                  label="b")
+    assert _canonical(_canonical(a)) == _canonical(a)
+    assume(a != b)
+    assert Scenario("fig01", {"x": a}).content_hash() != \
+        Scenario("fig01", {"x": b}).content_hash()
 
 
 class TestRunner:
@@ -222,58 +267,6 @@ class TestDeterministicExperiments:
         assert "18 Mbps" in result.raw.render()
 
 
-class TestBatchSizeKnob:
-    """batch_size is a performance-only parameter: injected by the
-    Runner where declared, excluded from cache identity."""
-
-    def test_spec_declares_batching_support(self):
-        assert get_experiment("fig07").supports_batching
-        assert get_experiment("fig08").supports_batching
-        assert not get_experiment("fig01").supports_batching
-
-    def test_batch_size_excluded_from_content_hash(self):
-        spec = get_experiment("fig07")
-        a = spec.scenario({"batch_size": 1}).content_hash()
-        b = spec.scenario({"batch_size": 64}).content_hash()
-        assert a == b
-        c = spec.scenario({"payload_bits": 8}).content_hash()
-        assert c != a
-
-    def test_runner_injects_batch_size_where_declared(self, tmp_path):
-        runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        batch_size=2)
-        result = runner.run("fig07", {"payload_bits": 104,
-                                      "frames_per_point": 1})
-        assert result.params["batch_size"] == 2
-        # fig01 has no batch_size parameter; the injection must not
-        # trip the spec's unknown-parameter validation.
-        result = runner.run("fig01", {"duration": 0.2})
-        assert "batch_size" not in result.params
-
-    def test_explicit_override_beats_runner_default(self, tmp_path):
-        runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        batch_size=2)
-        result = runner.run("fig07", {"payload_bits": 104,
-                                      "frames_per_point": 1,
-                                      "batch_size": 3})
-        assert result.params["batch_size"] == 3
-
-    def test_cache_hit_across_batch_sizes(self, tmp_path):
-        """A result cached at one batch_size serves every other one —
-        legitimate only because results are provably identical."""
-        overrides = {"payload_bits": 104, "frames_per_point": 1}
-        first = Runner(jobs=1, cache_dir=str(tmp_path),
-                       batch_size=1).run("fig07", overrides)
-        second = Runner(jobs=1, cache_dir=str(tmp_path),
-                        batch_size=4).run("fig07", overrides)
-        assert not first.cached
-        assert second.cached
-        assert second.aggregates == first.aggregates
-        # The hit's record reflects the batch_size asked for *now*,
-        # not the one the cached run happened to use.
-        assert second.params["batch_size"] == 4
-
-
 class TestProtocolRegistry:
     def test_all_protocols_resolve(self):
         from repro.experiments.common import (PROTOCOL_NAMES,
@@ -301,16 +294,8 @@ class TestProtocolRegistry:
 
 
 class TestPhyBackendKnob:
-    """phy_backend: injected by the Runner where declared, but —
-    unlike batch_size — part of cache identity (the surrogate is
-    calibrated, not bit-exact)."""
-
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError) as excinfo:
-            Runner(phy_backend="warp-drive")
-        message = str(excinfo.value)
-        assert "warp-drive" in message
-        assert "full" in message and "surrogate" in message
+    """phy_backend is an override like any other parameter, and part
+    of cache identity (the surrogate is calibrated, not bit-exact)."""
 
     def test_backend_included_in_content_hash(self):
         spec = get_experiment("fig07")
@@ -319,31 +304,39 @@ class TestPhyBackendKnob:
         assert a != b
 
     def test_runner_injects_backend_where_declared(self, tmp_path):
-        runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        phy_backend="surrogate")
-        result = runner.run("fig07", {"payload_bits": 104,
-                                      "frames_per_point": 1})
-        assert result.params["phy_backend"] == "surrogate"
-        # fig01 declares no phy_backend; injection must not trip the
-        # unknown-parameter validation.
-        result = runner.run("fig01", {"duration": 0.2})
-        assert "phy_backend" not in result.params
-
-    def test_explicit_override_beats_runner_default(self, tmp_path):
-        runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        phy_backend="surrogate")
+        """The override reaches experiments that declare the parameter;
+        one that does not (fig01) rejects it like any unknown key.  The
+        Runner itself takes no backend."""
+        runner = Runner(jobs=1, cache_dir=str(tmp_path))
         result = runner.run("fig07", {"payload_bits": 104,
                                       "frames_per_point": 1,
-                                      "phy_backend": "full"})
-        assert result.params["phy_backend"] == "full"
+                                      "phy_backend": "surrogate"})
+        assert result.params["phy_backend"] == "surrogate"
+        with pytest.raises(UnknownParameterError, match="phy_backend"):
+            runner.run("fig01", {"duration": 0.2,
+                                 "phy_backend": "surrogate"})
+        for option in ("phy_backend", "batch_size"):
+            with pytest.raises(TypeError):
+                Runner(**{option: "surrogate"})
+
+    def test_explicit_override_beats_runner_default(self, tmp_path):
+        """A swept backend beats a ``phy_backend`` override, as any
+        swept parameter beats an override of the same key."""
+        runner = Runner(jobs=1, cache_dir=str(tmp_path))
+        results = runner.sweep("fig07", "phy_backend",
+                               ["full", "surrogate"],
+                               {"payload_bits": 104,
+                                "frames_per_point": 1,
+                                "phy_backend": "surrogate"})
+        assert [r.params["phy_backend"] for r in results] == \
+            ["full", "surrogate"]
 
     def test_surrogate_and_full_cache_separately(self, tmp_path):
         overrides = {"payload_bits": 104, "frames_per_point": 1}
-        full = Runner(cache_dir=str(tmp_path),
-                      phy_backend="full").run("fig07", overrides)
-        surrogate = Runner(cache_dir=str(tmp_path),
-                           phy_backend="surrogate").run("fig07",
-                                                        overrides)
+        runner = Runner(cache_dir=str(tmp_path))
+        full = runner.run("fig07", {**overrides, "phy_backend": "full"})
+        surrogate = runner.run("fig07", {**overrides,
+                                         "phy_backend": "surrogate"})
         assert not full.cached
         assert not surrogate.cached      # distinct cache entries
 

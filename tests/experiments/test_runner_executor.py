@@ -192,9 +192,9 @@ class TestCacheIdentity:
             self, tmp_path, monkeypatch):
         import repro.phy.calibration as calibration
 
-        runner = Runner(jobs=1, cache_dir=str(tmp_path),
-                        phy_backend="surrogate")
-        overrides = {"payload_bits": 104, "frames_per_point": 1}
+        runner = Runner(jobs=1, cache_dir=str(tmp_path))
+        overrides = {"payload_bits": 104, "frames_per_point": 1,
+                     "phy_backend": "surrogate"}
         monkeypatch.setattr(calibration, "default_fingerprint",
                             lambda: "aaaa")
         assert not runner.run("fig07", overrides).cached

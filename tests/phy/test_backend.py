@@ -267,7 +267,7 @@ class TestTinyCalibration:
 
         return calibrate(snr_grid_db=np.array([0.0, 8.0, 16.0, 24.0]),
                          frames_per_point=2, payload_bits=256,
-                         batch_size=2, interference_frames=1)
+                         interference_frames=1)
 
     def test_meta_records_provenance(self, tiny):
         assert tiny.meta["version"] == TABLE_VERSION

@@ -5,10 +5,16 @@ Every assertion here is **exact** (``np.array_equal`` on float arrays,
 ``==`` on scalars): the batched kernels perform the same elementwise
 operations and last-axis reductions as the scalar code, so any
 difference at all — even in the last ulp — is a regression.  This is
-what lets ``batch_size`` be a pure throughput knob: experiments may
-batch frames however they like without shifting a single paper curve.
+what lets ``repro.phy.batch.FRAMES_PER_DECODE`` be a constant rather
+than a parameter: the sweeps may stack frames however they like
+without shifting a single paper curve.
+
+``Transceiver.transmit`` is the batched transmit path at one frame;
+``_reference_transmit`` below is the scalar pipeline it replaced, kept
+as the oracle both transmit paths must match.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +25,12 @@ from repro.channel.awgn import apply_channel, noise_var_for_snr_db
 from repro.phy import bits as bitutil
 from repro.phy.bcjr import bcjr_decode, bcjr_decode_batch
 from repro.phy.convcode import ConvolutionalCode, depuncture, puncture
+from repro.phy.frame import FLAG_HAS_POSTAMBLE, LinkHeader
 from repro.phy.interleaver import deinterleave, interleave
-from repro.phy.modulation import soft_demap, soft_demap_batch
-from repro.phy.transceiver import Transceiver
+from repro.phy.modulation import modulate, soft_demap, soft_demap_batch
+from repro.phy.ofdm import training_symbols
+from repro.phy.rates import MODES, RATE_TABLE
+from repro.phy.transceiver import _SCRAMBLE_SEED, Transceiver, TxFrame
 from repro.phy.viterbi import viterbi_decode, viterbi_decode_batch
 
 ALL_RATES = [0, 1, 2, 3, 4, 5]          # BPSK/QPSK/QAM16 x 1/2, 3/4
@@ -36,6 +45,53 @@ def code():
 @pytest.fixture(scope="module")
 def phy():
     return Transceiver()
+
+
+def _reference_encode_block(phy, info_bits, code_rate, bits_per_symbol,
+                            pad):
+    """Encode, puncture, pad and interleave one coded region."""
+    coded = phy.code.encode(info_bits)
+    punctured = puncture(coded, code_rate)
+    padded = np.concatenate([punctured, np.zeros(pad, dtype=np.uint8)])
+    if not phy.use_interleaver:
+        return padded
+    block = bits_per_symbol * phy.mode.n_subcarriers
+    return interleave(padded, block, bits_per_symbol)
+
+
+def _reference_transmit(phy, payload_bits, rate_index, dest=1, src=0,
+                        seq=0, flags=0):
+    """The scalar transmit pipeline, one frame at a time."""
+    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
+    layout = phy.frame_layout(payload_bits.size, rate_index)
+    if layout.has_postamble:
+        flags |= FLAG_HAS_POSTAMBLE
+    header = LinkHeader(dest=dest, src=src, seq=seq,
+                        rate_index=rate_index,
+                        length_bytes=payload_bits.size // 8, flags=flags)
+    body_info = bitutil.append_crc32(payload_bits)
+    if phy.scramble:
+        body_info = bitutil.scramble(body_info, _SCRAMBLE_SEED)
+    rate = phy.rates[rate_index]
+    base = phy.rates.lowest
+    header_stream = _reference_encode_block(
+        phy, header.to_bits(), base.code_rate, base.bits_per_symbol,
+        layout.header_pad_bits)
+    body_stream = _reference_encode_block(
+        phy, body_info, rate.code_rate, rate.bits_per_symbol,
+        layout.body_pad_bits)
+    n = phy.mode.n_subcarriers
+    parts = [training_symbols(layout.n_preamble_symbols, n),
+             modulate(header_stream, base.modulation).reshape(-1, n),
+             modulate(body_stream, rate.modulation).reshape(-1, n)]
+    if layout.has_postamble:
+        parts.append(training_symbols(layout.n_preamble_symbols + 1,
+                                      n)[-1:])
+    symbols = np.concatenate(parts, axis=0)
+    assert symbols.shape[0] == layout.n_symbols
+    return TxFrame(header=header, payload_bits=payload_bits,
+                   body_info_bits=body_info, symbols=symbols,
+                   layout=layout)
 
 
 def _noisy_llr_batch(code, code_rate, n_info, n_frames, rng,
@@ -215,25 +271,24 @@ class TestPipelineParity:
         batch = phy.transmit_batch(payloads, rate_index,
                                    seqs=[5, 6, 7, 8])
         for i in range(4):
-            ref = phy.transmit(payloads[i], rate_index, seq=5 + i)
+            ref = _reference_transmit(phy, payloads[i], rate_index,
+                                      seq=5 + i)
             assert np.array_equal(batch.symbols[i], ref.symbols)
             assert np.array_equal(batch.body_info_bits[i],
                                   ref.body_info_bits)
             assert batch.headers[i] == ref.header
-        assert batch.layout == phy.transmit(payloads[0],
-                                            rate_index).layout
+        assert batch.layout == _reference_transmit(phy, payloads[0],
+                                                   rate_index).layout
 
     def test_txbatch_frame_view(self, phy):
         """TxBatch.frame(i) is a faithful scalar TxFrame view."""
-        from repro.phy.transceiver import TxFrame
-
         rng = np.random.default_rng(25)
         payloads = rng.integers(0, 2, (3, 104)).astype(np.uint8)
         batch = phy.transmit_batch(payloads, 2, seqs=[3, 4, 5])
         assert len(batch) == 3
         for i in range(3):
             view = batch.frame(i)
-            ref = phy.transmit(payloads[i], 2, seq=3 + i)
+            ref = _reference_transmit(phy, payloads[i], 2, seq=3 + i)
             assert isinstance(view, TxFrame)
             assert view.header == ref.header
             assert view.layout == ref.layout
@@ -359,34 +414,110 @@ class TestPipelineParity:
                                            complex), tx.layout)
 
 
-class TestExperimentBatchInvariance:
-    """batch_size is a pure throughput knob for the experiments."""
+_CODES = [None, (3, (0o7, 0o5)), (5, (0o23, 0o35))]
 
-    def test_fig07_results_independent_of_batch_size(self):
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(sorted(MODES)),
+       full_table=st.booleans(), code=st.sampled_from(_CODES),
+       n_bytes=st.integers(1, 250), seq=st.integers(0, 0xFFF),
+       flags=st.integers(0, 0xF), postamble=st.booleans(),
+       interleaver=st.booleans(), scramble=st.booleans(),
+       data=st.data())
+def test_transmit_matches_scalar_reference(mode, full_table, code,
+                                           n_bytes, seq, flags,
+                                           postamble, interleaver,
+                                           scramble, data):
+    """``transmit`` (the batched path at one frame) builds the same
+    frame as the scalar pipeline, byte for byte."""
+    rates = RATE_TABLE if full_table else RATE_TABLE.prototype_subset()
+    phy = Transceiver(mode=mode, rates=rates,
+                      code=ConvolutionalCode(*code) if code else None,
+                      use_postamble=postamble,
+                      use_interleaver=interleaver, scramble=scramble)
+    rate_index = data.draw(st.integers(0, len(rates) - 1),
+                           label="rate_index")
+    payload = np.random.default_rng(n_bytes).integers(
+        0, 2, 8 * n_bytes).astype(np.uint8)
+    got = phy.transmit(payload, rate_index, seq=seq, flags=flags)
+    ref = _reference_transmit(phy, payload, rate_index, seq=seq,
+                              flags=flags)
+    assert got.symbols.tobytes() == ref.symbols.tobytes()
+    assert got.body_info_bits.tobytes() == ref.body_info_bits.tobytes()
+    assert got.header == ref.header
+    assert got.layout == ref.layout
+
+
+class TestExperimentBatchInvariance:
+    """The sweeps' stack size (``FRAMES_PER_DECODE``) changes no
+    result; each run also checks that its stacks had the patched
+    size."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """``stacks(n)`` patches ``FRAMES_PER_DECODE`` to ``n`` and
+        returns a list of the size of every stack decoded after it."""
+        from repro.phy import batch
+
+        sizes = []
+        receive_batch = Transceiver.receive_batch
+
+        def spy(phy, rx_symbols, *args, **kwargs):
+            sizes.append(len(rx_symbols))
+            return receive_batch(phy, rx_symbols, *args, **kwargs)
+
+        def patch(frames):
+            monkeypatch.setattr(batch, "FRAMES_PER_DECODE", frames)
+            sizes.clear()
+            return sizes
+
+        monkeypatch.setattr(Transceiver, "receive_batch", spy)
+        return patch
+
+    def test_fig07_results_independent_of_batch_size(self, stacks):
         from repro.experiments.fig07_static import run_fig7
 
         grid = np.arange(4.0, 11.0, 3.0)
+        sizes = stacks(1)
         ref = run_fig7(seed=7, payload_bits=104, frames_per_point=3,
-                       batch_size=1, snr_grid_db=grid,
-                       rate_indices=[0, 3])
-        for batch_size in (2, 7):
+                       snr_grid_db=grid, rate_indices=[0, 3])
+        assert set(sizes) == {1}
+        for frames in (2, 7):
+            sizes = stacks(frames)
             got = run_fig7(seed=7, payload_bits=104,
-                           frames_per_point=3, batch_size=batch_size,
-                           snr_grid_db=grid, rate_indices=[0, 3])
+                           frames_per_point=3, snr_grid_db=grid,
+                           rate_indices=[0, 3])
+            assert max(sizes) == frames
             assert np.array_equal(got.estimates, ref.estimates)
             assert np.array_equal(got.truths, ref.truths)
             assert np.array_equal(got.snr_estimates, ref.snr_estimates)
             assert np.array_equal(got.error_counts, ref.error_counts)
 
-    def test_fig08_results_independent_of_batch_size(self):
+    def test_fig08_results_independent_of_batch_size(self, stacks):
         from repro.experiments.fig08_mobile import run_fig8
 
-        ref = run_fig8(seed=8, payload_bits=104, n_frames=5,
-                       batch_size=1)
-        got = run_fig8(seed=8, payload_bits=104, n_frames=5,
-                       batch_size=3)
+        sizes = stacks(1)
+        ref = run_fig8(seed=8, payload_bits=104, n_frames=5)
+        assert set(sizes) == {1}
+        sizes = stacks(3)
+        got = run_fig8(seed=8, payload_bits=104, n_frames=5)
+        assert max(sizes) == 3
         for label in ref.estimates:
             assert np.array_equal(got.estimates[label],
                                   ref.estimates[label])
             assert np.array_equal(got.truths[label], ref.truths[label])
             assert np.array_equal(got.snrs[label], ref.snrs[label])
+
+    def test_calibration_independent_of_batch_size(self, stacks):
+        from repro.phy.calibrate import calibrate
+
+        tables = []
+        for frames in (1, 16):
+            sizes = stacks(frames)
+            table = calibrate(snr_grid_db=np.array([2.0, 10.0]),
+                              frames_per_point=3, payload_bits=104,
+                              interference_frames=1).to_dict()
+            assert set(sizes) == {min(frames, 3)}
+            table["meta"].pop("created")
+            tables.append(json.dumps(table, sort_keys=True))
+        assert tables[0] == tables[1]

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,37 @@ class TestPhyBackendCli:
         err = capsys.readouterr().err
         assert "warp" in err and "surrogate" in err
 
+    def test_backend_flag_on_an_experiment_without_it(self, capsys):
+        """``--phy-backend`` is shorthand for ``--set phy_backend=``,
+        so an experiment that does not declare it rejects it."""
+        assert main(["run", "fig01", "--set", "duration=0.2",
+                     "--phy-backend", "surrogate", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1].startswith("error:")
+        assert "phy_backend" in err and "Traceback" not in err
+
+    def test_explicit_set_beats_the_backend_flag(self, tmp_path,
+                                                 capsys):
+        out = str(tmp_path / "out.json")
+        assert main(["run", "fig07", "--set", "payload_bits=256",
+                     "--set", "frames_per_point=1",
+                     "--set", "phy_backend=full",
+                     "--phy-backend", "surrogate", "--no-cache",
+                     "--output", out]) == 0
+        with open(out) as fh:
+            assert json.load(fh)["params"]["phy_backend"] == "full"
+
+    def test_surrogate_run_keeps_its_store(self, tmp_path, capsys):
+        """The store a ``--phy-backend surrogate`` run writes is the one
+        earlier versions wrote through the Runner's backend option."""
+        assert main(["run", "fig07", "--set", "payload_bits=256",
+                     "--set", "frames_per_point=1",
+                     "--phy-backend", "surrogate",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert "[754e25a8864f]" in capsys.readouterr().out
+        assert os.listdir(tmp_path / "campaigns") == \
+            ["run-fig07-754e25a8864f"]
+
     def test_simulate_with_surrogate_backend(self, capsys):
         assert main(["simulate", "--duration", "0.3",
                      "--phy-backend", "surrogate"]) == 0
@@ -219,7 +253,7 @@ class TestCalibrateCommand:
         path = str(tmp_path / "cal.json")
         assert main(["calibrate", "--output", path,
                      "--frames-per-point", "1",
-                     "--payload-bits", "104", "--batch-size", "1",
+                     "--payload-bits", "104",
                      "--snr-min", "0", "--snr-max", "24",
                      "--snr-step", "8"]) == 0
         out = capsys.readouterr().out

@@ -16,17 +16,17 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
+from repro.cli import _parse_values, main
 from repro.experiments.api import register_experiment
 
 
 @register_experiment(
     "cli-any",
     description="accepts any parameter value and never fails",
-    params={"seed": 0, "x": 0, "batch_size": 1})
-def _run_any(seed=0, x=0, batch_size=1):
+    params={"seed": 0, "x": 0})
+def _run_any(seed=0, x=0):
     """One metric: the length of its parameters' repr."""
-    return {"size": float(len(repr((seed, x, batch_size))))}
+    return {"size": float(len(repr((seed, x))))}
 
 
 def _cli(argv):
@@ -86,12 +86,26 @@ class TestRejectedArguments:
                                 "--values", "3,3", "--cache-dir", cache])
         _assert_rejected(code, err, cache, "repeats a value")
 
-    def test_sweeping_a_performance_parameter(self, tmp_path):
+    def test_values_with_unbalanced_brackets_or_quotes(self, tmp_path):
+        """``1),2,3`` used to run as one string value; an unterminated
+        quote (also a bare word's apostrophe) is rejected too."""
         cache = str(tmp_path / "cache")
-        code, _out, err = _cli(["sweep", "cli-any", "--param",
-                                "batch_size", "--values", "1,2",
-                                "--cache-dir", cache])
-        _assert_rejected(code, err, cache, "--batch-size")
+        for bad in ("1),2,3", "(1,2", "'a,b", '"""a,b', "it's,b"):
+            code, _out, err = _cli(["sweep", "cli-any", "--param", "x",
+                                    "--values", bad,
+                                    "--cache-dir", cache])
+            _assert_rejected(code, err, cache, "--values")
+
+    def test_removed_batch_size_flag(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        for argv in (["run", "cli-any", "--cache-dir", cache],
+                     ["sweep", "cli-any", "--param", "x", "--values",
+                      "1", "--cache-dir", cache],
+                     ["calibrate", "--output", str(tmp_path / "c.json")]):
+            code, _out, err = _cli(argv + ["--batch-size", "8"])
+            assert code == 2
+            assert "unrecognized arguments: --batch-size 8" in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestFailedRuns:
@@ -144,6 +158,42 @@ class TestOddValues:
         assert "x=b''" in out and "x=1j" in out
 
 
+class TestSweepValues:
+    """``--values`` splits at the commas Python's tokenizer sees
+    outside brackets and string literals."""
+
+    def test_quoted_commas_and_brackets_stay_in_one_value(self):
+        # The old character scan gave ["'a", "b'", 'c'] and one tuple
+        # ('a)', 1).
+        assert _parse_values("'a,b',c") == ["a,b", "c"]
+        assert _parse_values("'a)',1") == ["a)", 1]
+
+    def test_kept_parses(self):
+        assert _parse_values("1,2") == [1, 2]
+        assert _parse_values("(100,1400)") == [(100, 1400)]
+        assert _parse_values("(1,),(2,)") == [(1,), (2,)]
+        assert _parse_values("softrate,rraa") == ["softrate", "rraa"]
+        assert _parse_values("snr-untrained,softrate") == \
+            ["snr-untrained", "softrate"]
+        assert _parse_values("b'',1j") == [b"", 1j]
+        assert _parse_values("1,2,") == [1, 2]
+
+
+_SCALAR = (st.integers() | st.floats(allow_nan=False,
+                                     allow_infinity=False)
+           | st.booleans() | st.none() | st.binary(max_size=4)
+           | st.text(max_size=6)
+           | st.text(alphabet=",'\"()[]{}\\", max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(
+    _SCALAR | st.lists(_SCALAR, max_size=3).map(tuple), max_size=5))
+def test_values_round_trip(values):
+    """Any list of literals, joined by commas, parses back to itself."""
+    assert _parse_values(",".join(map(repr, values))) == values
+
+
 _TEXT = st.text(max_size=12)
 #: Python-literal spellings, so ``--set``/``--values`` parsing reaches
 #: sets, dicts with mixed keys, bytes, complex numbers and nesting.
@@ -162,7 +212,7 @@ _LITERAL = st.recursive(
 _VALUE = _TEXT | _LITERAL | st.sampled_from(
     ["1e400", "-1e400", "1e400j", "nan", "(", "[1,", "()", "", "1,2"])
 #: Mostly declared names, so most commands get past name validation.
-_KEY = st.sampled_from(["seed", "x", "batch_size"]) \
+_KEY = st.sampled_from(["seed", "x"]) \
     | st.text(min_size=1, max_size=12)
 _SEEDS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(
     lambda seeds: ",".join(map(str, seeds))) | _TEXT

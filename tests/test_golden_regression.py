@@ -83,18 +83,28 @@ def test_fig07_ber_points_match_golden(goldens):
                           np.asarray(arrays["rate_indices"]))
 
 
-def test_fig07_golden_independent_of_batch_size(goldens):
-    """The throughput knob cannot shift the goldens either."""
+def test_fig07_golden_independent_of_batch_size(goldens, monkeypatch):
+    """The sweeps' stack size cannot shift the goldens either."""
     from repro.experiments.fig07_static import run_fig7
+    from repro.phy import batch
+    from repro.phy.transceiver import Transceiver
 
     config = goldens["fig07"]["config"]
     arrays = goldens["fig07"]["arrays"]
+    monkeypatch.setattr(batch, "FRAMES_PER_DECODE", 1)
+    sizes, receive_batch = [], Transceiver.receive_batch
+
+    def spy(phy, rx_symbols, *args, **kwargs):
+        sizes.append(len(rx_symbols))
+        return receive_batch(phy, rx_symbols, *args, **kwargs)
+
+    monkeypatch.setattr(Transceiver, "receive_batch", spy)
     data = run_fig7(seed=config["seed"],
                     payload_bits=config["payload_bits"],
                     frames_per_point=config["frames_per_point"],
-                    batch_size=1,
                     snr_grid_db=np.asarray(config["snr_grid_db"]),
                     rate_indices=list(config["rate_indices"]))
+    assert set(sizes) == {1}
     _assert_close("fig07.estimates@batch1", data.estimates,
                   arrays["estimates"])
 
