@@ -4,7 +4,7 @@ Every benchmark regenerates one table or figure of the paper, prints
 the rows/series the paper reports (visible with ``pytest -s`` and in
 the captured output), and asserts the qualitative *shape* — who wins,
 by roughly what factor, where crossovers fall.  Absolute numbers are
-not expected to match the authors' testbed (see EXPERIMENTS.md).
+not expected to match the authors' testbed.
 
 Benchmarks run each experiment exactly once (``rounds=1``): the
 measured quantity is the experiment's wall time, and the printed table

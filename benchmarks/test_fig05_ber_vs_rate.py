@@ -28,7 +28,7 @@ def test_fig5_cross_rate_structure(benchmark):
     # The paper measures 96%; our traces sample the receiver-impairment
     # jitter independently per rate (the paper's round-robin shares one
     # hardware state across a 5 ms cycle), which costs some
-    # monotonicity — see EXPERIMENTS.md.
+    # monotonicity.
     assert monotone > 0.75
     # Observation 2: adjacent rates at least ~an order of magnitude
     # apart (our simulated channel is steeper than the paper's

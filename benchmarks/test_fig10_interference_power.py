@@ -5,7 +5,7 @@ across the sender's bit rates, more than ~80% of frames received with
 bit errors are identified as collisions (paper: "always identify more
 than 80%"); weak interferers (-8, -15 dB) barely cause errors at all;
 and fading-only losses are rarely misflagged (paper <1%; ours a few
-percent — see EXPERIMENTS.md for why).
+percent).
 """
 
 import numpy as np

@@ -51,11 +51,11 @@ def test_fig17_fig18_interference(benchmark):
     # Under heavy interference the ideal detector+postambles variant
     # leads every frame-level protocol, and the present detector
     # matches or beats SampleRate — the paper's per-variant claims.
-    # (Our SampleRate underperforms across the board — see
-    # EXPERIMENTS.md; and with correctly frozen backoff counters and
-    # the strict retry cap, the present-detector gap to RRAA at
-    # Pr[CS]=0 narrows to a wash, so RRAA dominance is asserted
-    # pointwise only for the ideal variant and on sweep means above.)
+    # (Our SampleRate underperforms across the board; and with
+    # correctly frozen backoff counters and the strict retry cap, the
+    # present-detector gap to RRAA at Pr[CS]=0 narrows to a wash, so
+    # RRAA dominance is asserted pointwise only for the ideal variant
+    # and on sweep means above.)
     assert ideal[0] > 1.1 * rraa[0]
     assert ideal[0] > max(rraa[0], sample[0])
     assert ideal[0] >= present[0]

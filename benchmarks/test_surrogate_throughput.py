@@ -37,10 +37,10 @@ def _run(phy_backend, duration):
     """One saturated-TCP run; returns (frames concluded, wall secs)."""
     from repro.experiments.common import softrate_factory
     from repro.sim.topology import run_tcp_uplink
-    from repro.traces.workloads import walking_traces
+    from repro.traces.workloads import link_traces
 
-    uplinks = walking_traces(1, seed=5)
-    downlinks = walking_traces(1, seed=55)
+    uplinks = link_traces("walking", 1, 5, 10.0)
+    downlinks = link_traces("walking", 1, 55, 10.0)
     start = time.perf_counter()
     result = run_tcp_uplink(uplinks, downlinks, softrate_factory,
                             n_clients=1, duration=duration, seed=3,
@@ -78,11 +78,11 @@ def test_surrogate_tracks_trace_driven_throughput():
     band is asserted)."""
     from repro.experiments.common import softrate_factory
     from repro.sim.topology import run_tcp_uplink
-    from repro.traces.workloads import walking_traces
+    from repro.traces.workloads import link_traces
 
     duration = 0.3 if _SMOKE else 1.0
-    uplinks = walking_traces(1, seed=5)
-    downlinks = walking_traces(1, seed=55)
+    uplinks = link_traces("walking", 1, 5, 10.0)
+    downlinks = link_traces("walking", 1, 55, 10.0)
     results = {}
     for backend in (None, "surrogate"):
         results[backend] = run_tcp_uplink(

@@ -14,17 +14,15 @@ Run:  python examples/hidden_terminal.py
 from repro.experiments.common import (rraa_factory, samplerate_factory,
                                       softrate_factory)
 from repro.sim.topology import run_tcp_uplink
-from repro.traces.workloads import static_short_range_traces
+from repro.traces.workloads import link_traces
 
 N_CLIENTS = 2
 DURATION = 4.0
 
 
 def main():
-    up = static_short_range_traces(N_CLIENTS, mean_snr_db=16.0,
-                                   seed=100)
-    down = static_short_range_traces(N_CLIENTS, mean_snr_db=16.0,
-                                     seed=200)
+    up = link_traces("static", N_CLIENTS, 100, 10.0, mean_snr_db=16.0)
+    down = link_traces("static", N_CLIENTS, 200, 10.0, mean_snr_db=16.0)
     protocols = [
         ("SoftRate", softrate_factory, {}),
         ("SoftRate (ideal det.)", softrate_factory,

@@ -51,8 +51,8 @@ class WalkingTrajectory:
                  tx_power_dbm: float = -5.0,
                  noise_floor_dbm: float = -85.0,
                  pathloss: Optional[LogDistancePathLoss] = None):
-        if start_distance <= 0:
-            raise ValueError("start distance must be positive")
+        if not 0 < start_distance < np.inf:
+            raise ValueError("start distance must be positive and finite")
         self.start_distance = start_distance
         self.speed = speed
         self.tx_power_dbm = tx_power_dbm

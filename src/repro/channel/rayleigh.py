@@ -54,8 +54,8 @@ class RayleighFadingProcess:
 
     def __init__(self, doppler_hz: float, rng: np.random.Generator,
                  n_sinusoids: int = 16):
-        if doppler_hz <= 0:
-            raise ValueError("Doppler spread must be positive")
+        if not 0 < doppler_hz < np.inf:
+            raise ValueError("Doppler spread must be positive and finite")
         if n_sinusoids < 4:
             raise ValueError("need at least 4 sinusoids")
         self.doppler_hz = doppler_hz

@@ -247,17 +247,14 @@ def _cmd_thresholds(args) -> int:
 def _cmd_simulate(args) -> int:
     from repro.experiments.common import protocol_factory
     from repro.sim.topology import run_mac_contention, run_tcp_uplink
-    from repro.traces.workloads import downlink_seed, walking_traces
+    from repro.traces.workloads import downlink_seed, link_traces
 
     if args.engine == "slot" and args.workload != "mac":
-        raise SystemExit("error: --engine slot requires "
-                         "--workload mac (see docs/slotmac.md)")
+        raise ValueError("--engine slot requires --workload mac "
+                         "(see docs/slotmac.md)")
     if args.workload == "tcp":
-        try:
-            down_seed = downlink_seed(args.seed, args.clients)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
-    uplinks = walking_traces(args.clients, seed=args.seed)
+        down_seed = downlink_seed(args.seed, args.clients)
+    uplinks = link_traces("walking", args.clients, args.seed, 10.0)
     factory = protocol_factory(args.protocol,
                                training_trace=uplinks[0])
     backend = None if args.phy_backend == "trace" else args.phy_backend
@@ -274,7 +271,7 @@ def _cmd_simulate(args) -> int:
         per_flow = result.per_client_mbps
         label = f"mac/{args.engine}"
     else:
-        downlinks = walking_traces(args.clients, seed=down_seed)
+        downlinks = link_traces("walking", args.clients, down_seed, 10.0)
         result = run_tcp_uplink(uplinks, downlinks, factory,
                                 n_clients=args.clients,
                                 duration=args.duration,
@@ -294,9 +291,9 @@ def _cmd_calibrate(args) -> int:
     from repro.phy.calibrate import calibrate
 
     if args.snr_step <= 0:
-        raise SystemExit("error: --snr-step must be positive")
+        raise ValueError("--snr-step must be positive")
     if args.frames_per_point < 1:
-        raise SystemExit("error: --frames-per-point must be >= 1")
+        raise ValueError("--frames-per-point must be >= 1")
     grid = None
     if args.snr_min is not None or args.snr_max is not None \
             or args.snr_step != 1.0:
@@ -318,7 +315,7 @@ def _cmd_bench(args) -> int:
     from repro.bench import check_benchmarks, write_benchmarks
 
     if args.tolerance < 0:
-        raise SystemExit("error: --tolerance must be >= 0")
+        raise ValueError("--tolerance must be >= 0")
     if args.check:
         return check_benchmarks(output_dir=args.output_dir,
                                 only=args.only,
@@ -343,9 +340,9 @@ def _cmd_list(_args) -> int:
 
 def _invoke_runner(args, call):
     """Build a Runner from CLI args and run ``call(runner)``, mapping
-    rejected arguments and failed runs to the (exit-2,
-    message-on-stderr) contract.  ``--no-cache`` runs in a throwaway
-    cache directory.
+    unknown experiments and failed runs to the (exit-2,
+    message-on-stderr) contract that :func:`main` keeps for rejected
+    arguments.  ``--no-cache`` runs in a throwaway cache directory.
 
     Returns ``(outcome, None)`` on success or ``(None, exit_code)``.
     """
@@ -363,7 +360,7 @@ def _invoke_runner(args, call):
     except UnknownExperimentError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return None, 2
-    except (ValueError, ExperimentExecutionError) as exc:
+    except ExperimentExecutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
 
@@ -435,13 +432,9 @@ def _cmd_campaign_run(args) -> int:
     matrix, code = _campaign_matrix(args)
     if matrix is None:
         return code
-    try:
-        shard = parse_shard(args.shard)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     runner = CampaignRunner(
-        jobs=args.jobs, cache_dir=args.cache_dir, shard=shard,
+        jobs=args.jobs, cache_dir=args.cache_dir,
+        shard=parse_shard(args.shard),
         timeout_s=args.timeout, max_retries=args.retries,
         progress=lambda line: print(line, flush=True))
     status = runner.run(matrix, limit=args.limit)
@@ -566,12 +559,8 @@ def _cmd_campaign_report(args) -> int:
     if matrix is None:
         return code
     group_by = [g for g in (args.group_by or "").split(",") if g]
-    runner = CampaignRunner(cache_dir=args.cache_dir)
-    try:
-        summary = runner.report(matrix, group_by=group_by or None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summary = CampaignRunner(cache_dir=args.cache_dir).report(
+        matrix, group_by=group_by or None)
     print(f"{summary['campaign']}: {summary['completed']}/"
           f"{summary['total_scenarios']} scenarios summarized")
     metrics = summary["metrics"]
@@ -595,15 +584,11 @@ def _cmd_campaign_report(args) -> int:
 def _cmd_campaign_serve(args) -> int:
     from repro.campaigns.service import CampaignService
 
-    try:
-        service = CampaignService(
-            cache_dir=args.cache_dir, host=args.host, port=args.port,
-            jobs=args.jobs, timeout_s=args.timeout,
-            max_retries=args.retries, once=args.once,
-            emit=lambda line: print(line, flush=True))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    service = CampaignService(
+        cache_dir=args.cache_dir, host=args.host, port=args.port,
+        jobs=args.jobs, timeout_s=args.timeout,
+        max_retries=args.retries, once=args.once,
+        emit=lambda line: print(line, flush=True))
     try:
         service.serve()
     except KeyboardInterrupt:
@@ -1025,11 +1010,19 @@ _CAMPAIGN_HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; return its exit code.
+
+    A ``ValueError`` out of any command is a rejected argument: it
+    prints one ``error:`` line on stderr and exits 2.
+    """
     args = build_parser().parse_args(argv)
     try:
         if args.command == "campaign":
             return _CAMPAIGN_HANDLERS[args.campaign_command](args)
         return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an
         # error from the user's point of view.

@@ -39,7 +39,7 @@ __all__ = ["InterferenceDetector", "InterferenceReport"]
 #: <1%) come from marginal-SNR frames whose bursty decoder errors
 #: create genuine multi-decade per-symbol contrast — our simulated
 #: frames carry fewer bits per OFDM symbol than the paper's prototype,
-#: so per-symbol estimates are noisier; see EXPERIMENTS.md.
+#: so per-symbol estimates are noisier.
 DEFAULT_JUMP_DECADES = 1.0
 
 #: Sensitivity floor for the per-symbol BER profile.  A 100-300-bit

@@ -27,6 +27,9 @@ BER_CEILING = 0.5
 #: Minimum BER separation factor between adjacent rates (observation 2).
 RATE_SEPARATION = 10.0
 
+#: A local for :func:`predict_ber`'s finiteness check (a hot path).
+_INF = float("inf")
+
 
 def predict_ber(ber: float, from_rate: int, to_rate: int,
                 separation: float = RATE_SEPARATION) -> float:
@@ -35,15 +38,16 @@ def predict_ber(ber: float, from_rate: int, to_rate: int,
     Args:
         ber: measured (interference-free) BER at ``from_rate``.
         from_rate, to_rate: rate table indices.
-        separation: per-step BER ratio (>= 1).
+        separation: per-step BER ratio (finite, >= 1).
 
     Returns:
         The predicted BER, clipped to ``[BER_FLOOR, BER_CEILING]``.
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"BER {ber} outside [0, 1]")
-    if separation < 1.0:
-        raise ValueError("separation factor must be >= 1")
+    if not 1.0 <= separation < _INF:
+        raise ValueError(f"separation factor must be finite and >= 1, "
+                         f"got {separation!r}")
     steps = to_rate - from_rate
     predicted = ber * separation ** steps
     # Scalar clip: np.clip costs microseconds per call and this sits

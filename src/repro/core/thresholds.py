@@ -73,8 +73,8 @@ class PartialBitArq:
     """
 
     def __init__(self, cost_per_error: float = 500.0):
-        if cost_per_error <= 0:
-            raise ValueError("cost per error must be positive")
+        if not 0 < cost_per_error < np.inf:
+            raise ValueError("cost per error must be positive and finite")
         self.cost_per_error = cost_per_error
 
     def throughput(self, rate: Rate, ber: float) -> float:
@@ -174,12 +174,16 @@ def compute_thresholds(rates: RateTable, recovery,
         rates: the available rates.
         recovery: an error recovery model with a
             ``throughput(rate, ber)`` method.
-        separation: assumed BER ratio between adjacent rates.
+        separation: assumed BER ratio between adjacent rates
+            (finite, >= 1).
         grid_points: resolution of the log-BER search grid.
 
     Returns:
         A :class:`ThresholdTable`.
     """
+    if not 1.0 <= separation < np.inf:
+        raise ValueError(f"separation factor must be finite and >= 1, "
+                         f"got {separation!r}")
     grid = np.logspace(np.log10(BER_FLOOR), np.log10(BER_CEILING),
                        grid_points)
     thresholds: List[RateThresholds] = []

@@ -3,7 +3,7 @@
 Every paper reproduction (``figXX``/``tabXX`` module) declares itself
 with :func:`register_experiment`, providing a declarative
 :class:`ExperimentSpec` — name, description, parameter space with
-defaults, trace requirements, and the algorithms involved.  A concrete
+defaults, and the algorithms involved.  A concrete
 parameterization is a :class:`Scenario`.  :func:`run` executes one
 in-process; :class:`Runner` executes a fan of seed replicates and
 sweep points as a campaign (:mod:`repro.campaigns`), so its results
@@ -161,7 +161,6 @@ class ExperimentSpec:
     description: str
     fn: Callable[..., Any]
     params: Mapping[str, Any] = field(default_factory=dict)
-    traces: Tuple[str, ...] = ()
     algorithms: Tuple[str, ...] = ()
     #: Name of the parameter that seeds the experiment's RNG (``None``
     #: for deterministic experiments).  When the runner fans seed
@@ -252,7 +251,6 @@ _REGISTRY: Dict[str, ExperimentSpec] = {}
 
 def register_experiment(name: str, *, description: str = "",
                         params: Optional[Mapping[str, Any]] = None,
-                        traces: Sequence[str] = (),
                         algorithms: Sequence[str] = (),
                         seed_param: Optional[str] = "seed",
                         metrics: Optional[Callable] = None
@@ -278,7 +276,7 @@ def register_experiment(name: str, *, description: str = "",
                 f"by {existing.fn.__module__}")
         _REGISTRY[name] = ExperimentSpec(
             name=name, description=description, fn=fn,
-            params=dict(params or {}), traces=tuple(traces),
+            params=dict(params or {}),
             algorithms=tuple(algorithms), seed_param=seed_param,
             metrics=metrics)
         return fn

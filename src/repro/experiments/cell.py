@@ -44,65 +44,37 @@ from repro.experiments.api import register_experiment
 from repro.sim.slotmac import run_slot_contention
 from repro.sim.topology import AP_ID, run_mac_contention, run_tcp_uplink
 from repro.traces.format import LinkTrace
-from repro.traces.workloads import (simulation_traces,
-                                    static_short_range_traces,
-                                    walking_traces)
+from repro.traces.workloads import channel_inputs, link_traces
 
-__all__ = ["run_cell", "CHANNEL_MODELS"]
-
-#: Channel models a cell can run under (the paper's three regimes).
-CHANNEL_MODELS = ("walking", "static", "fading")
+__all__ = ["run_cell"]
 
 #: Trace time generated beyond the simulated duration, so frames in
 #: flight at the end of the run still observe in-range trace slots.
 _TRACE_MARGIN_S = 0.1
 
-#: Seed offset separating downlink from uplink trace generation.  The
-#: workload generators seed per link as ``seed + link`` (plus a small
-#: per-generator constant), so this must exceed any plausible pool
-#: size — a small offset like 50 would make uplink trace ``50`` and
-#: downlink trace ``0`` bit-identical on larger pools.
+#: Seed offset separating downlink from uplink trace generation.
+#: :func:`repro.traces.workloads.link_traces` seeds link ``i`` at
+#: ``seed + i`` (plus a per-channel constant), so this must exceed any
+#: plausible pool size — a small offset like 50 would make uplink
+#: trace ``50`` and downlink trace ``0`` bit-identical on larger pools.
 _DOWNLINK_SEED_OFFSET = 500_009
-
-
-def _pool_inputs(channel: str, mean_snr_db: float, doppler_hz: float
-                 ) -> Tuple[Optional[float], Optional[float]]:
-    """``(mean_snr_db, doppler_hz)`` as :func:`_trace_pool`'s key,
-    with each input ``channel`` does not read replaced by ``None``."""
-    if channel == "walking":
-        return None, None
-    if channel == "static":
-        return mean_snr_db, None
-    return mean_snr_db, doppler_hz
 
 
 @lru_cache(maxsize=64)
 def _trace_pool(channel: str, n_links: int, duration: float,
                 mean_snr_db: Optional[float], doppler_hz: Optional[float],
                 seed: int) -> Tuple[LinkTrace, ...]:
-    """Generate (and memoize) one direction's read-only fading traces.
+    """One direction's read-only traces, memoized per process.
 
-    Key facts that make caching safe: trace generation is a pure
-    function of these arguments, and the traces are read-only — so
-    cells differing only in protocol, MAC seed or carrier sensing
-    share one realisation per direction.  Callers pass the channel
-    inputs through :func:`_pool_inputs`, so an input the channel
-    model does not read never splits the cache.
+    Trace generation is a pure function of these arguments and the
+    traces are read-only, so cells differing only in protocol, MAC
+    seed or carrier sensing share one realisation per direction.
+    Callers pass the channel inputs through
+    :func:`repro.traces.workloads.channel_inputs`, so an input the
+    channel does not read never splits the cache.
     """
-    if channel == "walking":
-        traces = walking_traces(n_links, duration=duration, seed=seed)
-    elif channel == "static":
-        traces = static_short_range_traces(
-            n_links, duration=duration, mean_snr_db=mean_snr_db,
-            seed=seed)
-    elif channel == "fading":
-        traces = simulation_traces(
-            doppler_hz, n_links=n_links, duration=duration,
-            mean_snr_db=mean_snr_db, seed=seed)
-    else:
-        raise ValueError(f"unknown channel model {channel!r}; "
-                         f"available: {list(CHANNEL_MODELS)}")
-    return tuple(trace.read_only() for trace in traces)
+    return link_traces(channel, n_links, seed, duration, mean_snr_db,
+                       doppler_hz)
 
 
 @register_experiment(
@@ -116,7 +88,6 @@ def _trace_pool(channel: str, n_links: int, duration: float,
             "replicate": 0, "phy_backend": "surrogate",
             "workload": "tcp", "mac_engine": "event",
             "payload_bits": 368},
-    traces=("walking", "static", "rayleigh"),
     algorithms=("softrate", "samplerate", "rraa", "snr", "charm",
                 "snr-untrained", "omniscient"),
     seed_param="seed")
@@ -186,7 +157,8 @@ def run_cell(protocol: str = "softrate", channel: str = "static",
                          "the saturated 'mac' workload")
     pool = n_clients if trace_pool <= 0 else min(trace_pool, n_clients)
     trace_duration = duration + _TRACE_MARGIN_S
-    snr_key, doppler_key = _pool_inputs(channel, mean_snr_db, doppler_hz)
+    snr_key, doppler_key = channel_inputs(channel, mean_snr_db,
+                                          doppler_hz)
     uplinks = _trace_pool(channel, pool, trace_duration, snr_key,
                           doppler_key, trace_seed)
     factory = protocol_factory(protocol, training_trace=uplinks[0])
@@ -195,7 +167,7 @@ def run_cell(protocol: str = "softrate", channel: str = "static",
                                 doppler_key,
                                 trace_seed + _DOWNLINK_SEED_OFFSET)
         result = run_tcp_uplink(
-            list(uplinks), list(downlinks), factory,
+            uplinks, downlinks, factory,
             n_clients=n_clients, duration=duration, seed=seed,
             carrier_sense_prob=carrier_sense_prob,
             detect_prob=detect_prob, use_postambles=use_postambles,
@@ -206,7 +178,7 @@ def run_cell(protocol: str = "softrate", channel: str = "static",
         run_contention = run_mac_contention if mac_engine == "event" \
             else run_slot_contention
         result = run_contention(
-            list(uplinks), factory, n_clients=n_clients,
+            uplinks, factory, n_clients=n_clients,
             duration=duration, payload_bits=payload_bits, seed=seed,
             carrier_sense_prob=carrier_sense_prob,
             detect_prob=detect_prob, use_postambles=use_postambles,

@@ -70,7 +70,7 @@ def _metrics(data: Fig1Data) -> dict:
     "fig01",
     description="SNR/BER fluctuation over a walking fading channel",
     params={"seed": 1, "detail_start": 4.0, "duration": 10.0},
-    traces=("walking",), algorithms=(), metrics=_metrics)
+    algorithms=(), metrics=_metrics)
 def run_fig1(seed: int = 1, detail_start: float = 4.0,
              duration: float = 10.0) -> Fig1Data:
     """Generate the Fig. 1 panels from one walking trajectory."""

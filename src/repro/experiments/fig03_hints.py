@@ -60,7 +60,7 @@ def _metrics(data: Fig3Data) -> dict:
     description="SoftPHY hint patterns: collision vs fading losses",
     params={"seed": 3, "payload_bits": 12800, "snr_db": 11.0,
             "rate_index": 3, "fade_doppler_hz": 300.0},
-    traces=(), algorithms=(), metrics=_metrics)
+    algorithms=(), metrics=_metrics)
 def run_fig3(seed: int = 3, payload_bits: int = 12800,
              snr_db: float = 11.0, rate_index: int = 3,
              fade_doppler_hz: float = 300.0) -> Fig3Data:
@@ -91,8 +91,8 @@ def run_fig3(seed: int = 3, payload_bits: int = 12800,
     # Search fading realisations for one that dips into the waterfall
     # (producing bit errors) without the cliff-like per-symbol jump a
     # collision produces; marginal fades that do look cliff-like exist
-    # (see EXPERIMENTS.md on residual false positives) and are skipped
-    # here because the figure illustrates the *typical* contrast.
+    # (residual false positives) and are skipped here because the
+    # figure illustrates the *typical* contrast.
     detector = InterferenceDetector()
     fade_rng = np.random.default_rng(seed + 1)
     faded = None

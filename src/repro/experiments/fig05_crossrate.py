@@ -78,7 +78,7 @@ def _metrics(data: Fig5Data) -> dict:
     "fig05",
     description="Cross-rate BER monotonicity and separation",
     params={"seed": 5, "duration": 10.0},
-    traces=("walking",), algorithms=(), metrics=_metrics)
+    algorithms=(), metrics=_metrics)
 def run_fig5(seed: int = 5, duration: float = 10.0,
              trace: LinkTrace = None) -> Fig5Data:
     """Collect cross-rate BER pairs from a walking trace."""

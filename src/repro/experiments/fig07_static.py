@@ -91,7 +91,7 @@ def _metrics(data: Fig7Data) -> dict:
     description="SoftPHY vs SNR BER estimation on a static channel",
     params={"seed": 7, "payload_bits": 1600, "frames_per_point": 4,
             "phy_backend": "full"},
-    traces=(), algorithms=(), metrics=_metrics)
+    algorithms=(), metrics=_metrics)
 def run_fig7(seed: int = 7, payload_bits: int = 1600,
              frames_per_point: int = 4,
              snr_grid_db: np.ndarray = None,

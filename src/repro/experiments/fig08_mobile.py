@@ -109,7 +109,7 @@ def _metrics(data: MobileBerData) -> dict:
     description="BER estimation across mobility speeds (Figs. 8 & 9)",
     params={"seed": 8, "payload_bits": 1600, "n_frames": 60,
             "rate_index": 3, "phy_backend": "full"},
-    traces=("rayleigh",), algorithms=(), metrics=_metrics)
+    algorithms=(), metrics=_metrics)
 def run_fig8(seed: int = 8, payload_bits: int = 1600,
              n_frames: int = 60, rate_index: int = 3,
              dopplers: Dict[str, float] = None,

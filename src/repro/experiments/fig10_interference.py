@@ -88,7 +88,7 @@ def _metrics(result) -> dict:
     description="Interference detection accuracy by power and rate",
     params={"seed": 10, "payload_bits": 1600, "n_frames": 25,
             "snr_db": 10.0},
-    traces=(), algorithms=(), metrics=_metrics)
+    algorithms=(), metrics=_metrics)
 def run_fig10(seed: int = 10, payload_bits: int = 1600,
               n_frames: int = 25, snr_db: float = 10.0,
               rel_powers_db: List[float] = None,

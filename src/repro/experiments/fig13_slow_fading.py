@@ -20,7 +20,7 @@ from repro.experiments.api import register_experiment
 from repro.experiments.common import (averaged_tcp_throughput,
                                       standard_algorithms)
 from repro.traces.format import LinkTrace
-from repro.traces.workloads import downlink_seed, walking_traces
+from repro.traces.workloads import downlink_seed, link_traces
 
 __all__ = ["SlowFadingResult", "run_fig13"]
 
@@ -49,7 +49,6 @@ def _metrics(result: "SlowFadingResult") -> dict:
     description="TCP throughput over slow-fading mobile channels",
     params={"client_counts": (1, 2, 3, 4, 5), "duration": 5.0,
             "seeds": (1, 2), "trace_seed": 2009, "phy_backend": None},
-    traces=("walking",),
     algorithms=("omniscient", "softrate", "snr", "charm", "rraa",
                 "samplerate"),
     seed_param="seeds", metrics=_metrics)
@@ -76,10 +75,10 @@ def run_fig13(client_counts: Sequence[int] = (1, 2, 3, 4, 5),
     """
     n_max = max(client_counts)
     if downlink_traces is None:
-        downlink_traces = walking_traces(
-            n_max, seed=downlink_seed(trace_seed, n_max))
+        downlink_traces = link_traces(
+            "walking", n_max, downlink_seed(trace_seed, n_max), 10.0)
     if uplink_traces is None:
-        uplink_traces = walking_traces(n_max, seed=trace_seed)
+        uplink_traces = link_traces("walking", n_max, trace_seed, 10.0)
     if algorithms is None:
         algorithms = standard_algorithms(uplink_traces[0])
 

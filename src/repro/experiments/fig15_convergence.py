@@ -150,7 +150,6 @@ _CONVERGENCE_ADAPTERS = {
     description="Protocol convergence after an abrupt channel step",
     params={"protocol": "softrate", "good_rate": 5, "bad_rate": 4,
             "period": 1.0, "duration": 10.0},
-    traces=("alternating",),
     algorithms=("softrate", "rraa", "samplerate"),
     seed_param=None, metrics=_metrics)
 def run_fig15_protocol(protocol: str = "softrate", good_rate: int = 5,

@@ -25,7 +25,7 @@ from repro.experiments.common import (averaged_tcp_throughput,
                                       samplerate_factory,
                                       snr_trained_factory,
                                       softrate_factory)
-from repro.traces.workloads import simulation_traces, walking_traces
+from repro.traces.workloads import link_traces
 
 __all__ = ["FastFadingResult", "run_fig16"]
 
@@ -56,7 +56,6 @@ def _metrics(result: "FastFadingResult") -> dict:
     params={"coherence_times": (1e-3, 500e-6, 200e-6, 100e-6),
             "duration": 4.0, "seeds": (1, 2), "mean_snr_db": 22.0,
             "trace_seed": 16, "phy_backend": None},
-    traces=("rayleigh", "walking"),
     algorithms=("softrate", "snr", "rraa", "samplerate", "omniscient"),
     seed_param="seeds", metrics=_metrics)
 def run_fig16(coherence_times: Sequence[float] = (1e-3, 500e-6, 200e-6,
@@ -78,7 +77,7 @@ def run_fig16(coherence_times: Sequence[float] = (1e-3, 500e-6, 200e-6,
     precomputed trace, so under a backend it is a strong heuristic
     rather than a true oracle — normalized values may exceed 1.0.
     """
-    walking = walking_traces(1, seed=trace_seed)[0]
+    walking = link_traces("walking", 1, trace_seed, 10.0)[0]
     algorithms = [
         ("SoftRate", softrate_factory),
         ("SNR (untrained)", snr_trained_factory(walking)),
@@ -91,12 +90,10 @@ def run_fig16(coherence_times: Sequence[float] = (1e-3, 500e-6, 200e-6,
     omniscient_mbps: List[float] = []
     for i, coherence in enumerate(coherence_times):
         doppler = doppler_for_coherence(coherence)
-        up = simulation_traces(doppler, n_links=1, duration=duration,
-                               mean_snr_db=mean_snr_db,
-                               seed=trace_seed + i)
-        down = simulation_traces(doppler, n_links=1, duration=duration,
-                                 mean_snr_db=mean_snr_db,
-                                 seed=trace_seed + 100 + i)
+        up = link_traces("fading", 1, trace_seed + i, duration,
+                         mean_snr_db, doppler)
+        down = link_traces("fading", 1, trace_seed + 100 + i, duration,
+                           mean_snr_db, doppler)
         baseline = averaged_tcp_throughput(
             up, down, omniscient_factory, n_clients=1,
             duration=duration, seeds=seeds,

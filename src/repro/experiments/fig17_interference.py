@@ -26,8 +26,7 @@ from repro.experiments.api import register_experiment
 from repro.experiments.common import (averaged_tcp_throughput,
                                       rraa_factory, samplerate_factory,
                                       softrate_factory)
-from repro.traces.workloads import (downlink_seed,
-                                    static_short_range_traces)
+from repro.traces.workloads import downlink_seed, link_traces
 
 __all__ = ["InterferenceTcpResult", "run_fig17"]
 
@@ -58,7 +57,6 @@ def _metrics(result: "InterferenceTcpResult") -> dict:
     params={"cs_probabilities": (0.0, 0.4, 0.8, 1.0), "n_clients": 5,
             "duration": 4.0, "seeds": (1,), "trace_seed": 17,
             "accuracy_cs": 0.8, "mean_snr_db": 16.0},
-    traces=("static",),
     algorithms=("softrate", "rraa", "samplerate"),
     seed_param="seeds", metrics=_metrics)
 def run_fig17(cs_probabilities: Sequence[float] = (0.0, 0.4, 0.8, 1.0),
@@ -67,10 +65,8 @@ def run_fig17(cs_probabilities: Sequence[float] = (0.0, 0.4, 0.8, 1.0),
               mean_snr_db: float = 16.0) -> InterferenceTcpResult:
     """Run the interference-dominated TCP experiment."""
     down_seed = downlink_seed(trace_seed, n_clients)
-    up = static_short_range_traces(n_clients, seed=trace_seed,
-                                   mean_snr_db=mean_snr_db)
-    down = static_short_range_traces(n_clients, seed=down_seed,
-                                     mean_snr_db=mean_snr_db)
+    up = link_traces("static", n_clients, trace_seed, 10.0, mean_snr_db)
+    down = link_traces("static", n_clients, down_seed, 10.0, mean_snr_db)
     algorithms = [
         ("SoftRate (Ideal)", softrate_factory,
          {"detect_prob": 1.0, "use_postambles": True}),

@@ -40,7 +40,6 @@ MESH_PROTOCOLS = ("softrate", "samplerate", "rraa", "snr-untrained")
             "doppler_hz": 10.0, "duration": 0.08, "payload_bits": 368,
             "ttl": 0, "detect_prob": 0.8, "use_postambles": True,
             "seed": 1, "replicate": 0, "phy_backend": "surrogate"},
-    traces=(),
     algorithms=MESH_PROTOCOLS,
     seed_param="seed")
 def run_mesh(protocol: str = "softrate", n_relays: int = 2,

@@ -67,8 +67,7 @@ def _metrics(result: "SilentLossResult") -> dict:
     "tab01",
     description="Silent losses under hidden-terminal collisions",
     params={"frame_bytes": (1400, 1400), "duration": 5.0, "seed": 4},
-    traces=("constant",), algorithms=("random-rate",),
-    metrics=_metrics)
+    algorithms=("random-rate",), metrics=_metrics)
 def run_silent_loss_experiment(frame_bytes: Tuple[int, int] = (1400, 1400),
                                duration: float = 5.0,
                                seed: int = 4) -> SilentLossResult:

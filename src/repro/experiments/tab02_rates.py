@@ -50,7 +50,7 @@ def _metrics(data: RateTableData) -> dict:
 @register_experiment(
     "tab02",
     description="Rate table (Table 2) and OFDM modes (Table 3)",
-    params={}, traces=(), algorithms=(), seed_param=None,
+    params={}, algorithms=(), seed_param=None,
     metrics=_metrics)
 def run_tab02() -> RateTableData:
     """Build the rate/mode tables the paper's Tables 2 and 3 list."""

@@ -44,7 +44,7 @@ from repro.experiments.api import register_experiment
 from repro.phy.backend import get_backend
 from repro.recovery.rateless import RatelessDecoder, RatelessEncoder
 from repro.traces.video import generate_video_trace, reference_video_trace
-from repro.traces.workloads import simulation_traces, walking_traces
+from repro.traces.workloads import link_traces
 
 __all__ = ["run_video", "VIDEO_SCHEMES", "VIDEO_SCENARIOS"]
 
@@ -60,21 +60,6 @@ def _frame_bits(seed: int, index: int, size_bits: int) -> np.ndarray:
     """The deterministic content of video frame ``index``."""
     rng = np.random.default_rng((seed, 91, index))
     return rng.integers(0, 2, size_bits).astype(np.uint8)
-
-
-def _link_trace(scenario: str, duration: float, mean_snr_db: float,
-                doppler_hz: float, payload_bits: int, seed: int):
-    """One link trace of the requested family (fig16 / fig08)."""
-    if scenario == "fading":
-        return simulation_traces(doppler_hz, n_links=1,
-                                 duration=duration,
-                                 mean_snr_db=mean_snr_db, seed=seed,
-                                 payload_bits=payload_bits)[0]
-    if scenario == "walking":
-        return walking_traces(1, duration=duration, seed=seed,
-                              payload_bits=payload_bits)[0]
-    raise ValueError(f"unknown scenario {scenario!r}; available: "
-                     f"{list(VIDEO_SCENARIOS)}")
 
 
 def _trajectory(trace, time: float, airtime: float) -> np.ndarray:
@@ -261,7 +246,6 @@ def _qoe(prefix: str, video, decode_times, streamer: _Streamer) -> dict:
             "abandon_slack": 0.5, "budget_factor": 2.0,
             "max_attempts": 8, "seed": 1,
             "replicate": 0, "phy_backend": "surrogate"},
-    traces=("rayleigh", "walking"),
     algorithms=VIDEO_SCHEMES,
     seed_param="seed")
 def run_video(scenario: str = "fading", scheme: str = "both",
@@ -315,6 +299,9 @@ def run_video(scenario: str = "fading", scheme: str = "both",
         ``salvaged_weight`` and ``symbols_received``; ``"both"`` adds
         ``dfr_gain`` (rateless minus ARQ decodable-frame rate).
     """
+    if scenario not in VIDEO_SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; available: "
+                         f"{list(VIDEO_SCENARIOS)}")
     if scheme not in VIDEO_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; available: "
                          f"{list(VIDEO_SCHEMES)}")
@@ -329,8 +316,8 @@ def run_video(scenario: str = "fading", scheme: str = "both",
             mean_bitrate_bps=video_bitrate_bps, seed=seed)
     payload_bits = symbol_bits * symbols_per_packet
     window = video.frames[-1].deadline + abandon_slack
-    trace = _link_trace(scenario, window + 0.5, mean_snr_db,
-                        doppler_hz, payload_bits, seed)
+    trace = link_traces(scenario, 1, seed, window + 0.5, mean_snr_db,
+                        doppler_hz, payload_bits)[0]
     backend = get_backend(phy_backend or "surrogate")
 
     out: dict = {}

@@ -270,6 +270,9 @@ def run_slot_contention(uplink_traces: Sequence[LinkTrace],
         raise ValueError("need at least one client")
     if not uplink_traces:
         raise ValueError("need at least one uplink trace")
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got "
+                         f"{duration!r}")
     if carrier_sense_prob != 1.0:
         raise ValueError(
             "the slot-synchronous engine models perfect carrier sense "

@@ -249,6 +249,9 @@ class AccessPointNetwork:
 
     def run(self, duration: float) -> TcpUplinkResult:
         """Start all flows and simulate for ``duration`` seconds."""
+        if not 0 < duration < np.inf:
+            raise ValueError(f"duration must be positive and finite, "
+                             f"got {duration!r}")
         for sender in self._senders.values():
             sender.start()
         self.sim.run_until(duration)
@@ -334,6 +337,9 @@ def run_mac_contention(uplink_traces: Sequence[LinkTrace],
         raise ValueError("need at least one client")
     if not uplink_traces:
         raise ValueError("need at least one uplink trace")
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got "
+                         f"{duration!r}")
     rate_table = rates if rates is not None \
         else RATE_TABLE.prototype_subset()
     sim = Simulator()

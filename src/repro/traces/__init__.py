@@ -17,9 +17,22 @@ SoftPHY feedback would be.  We reproduce that methodology:
   network-scale experiments);
 * :mod:`repro.traces.synthetic` — hand-built traces such as the
   good/bad alternating channel of Fig. 15;
-* :mod:`repro.traces.workloads` — the Table 4 experiment presets;
+* :mod:`repro.traces.workloads` — ``link_traces``, the one source of
+  link traces for every trace-driven experiment;
 * :mod:`repro.traces.video` — the deadline-annotated GoP video
   workload feeding the rateless pipeline.
+
+``link_traces(channel, n_links, seed, duration, ...)`` generates the
+three Table 4 channels: ``"walking"`` mobility, a ``"static"``
+short-range channel and the ``"fading"`` simulator at a fixed Doppler.
+Link ``i`` draws from ``np.random.default_rng(seed + offset + i)``,
+``offset`` being 0, 200 and 100 for those channels, and every trace it
+returns is read-only.  Two things stay outside it on purpose: fig05
+and ``repro trace`` call :func:`generate_fading_trace` directly (a
+set start distance and no seed offset), and the downlink seed offsets
+stay with their callers (:func:`repro.traces.workloads.downlink_seed`
+for fig13, fig17 and ``repro simulate``; the campaign cell's own
+offset), since moving either would change pinned results.
 """
 
 from repro.traces.format import FrameObservation, LinkTrace

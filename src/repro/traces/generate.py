@@ -115,8 +115,9 @@ def generate_fading_trace(
     ``rng.normal(0, 0.1)`` in decades, and the delivery uniform
     ``rng.random()``.  No draw depends on a computed value.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got "
+                         f"{duration!r}")
     rates = rates if rates is not None else RATE_TABLE.prototype_subset()
     fading = RayleighFadingProcess(doppler_hz, rng)
     n_slots = max(1, int(round(duration / slot_duration)))

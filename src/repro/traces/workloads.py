@@ -1,16 +1,46 @@
-"""The Table 4 experiment presets.
+"""The one source of link traces for the trace-driven experiments.
 
-Each function configures the workload of one row of the paper's
-Table 4 ("A summary of the experiments used to evaluate SoftPHY and
-SoftRate") and returns ready-to-use traces or generator parameters.
-Scale factors (trace lengths, frame counts) are reduced relative to
-the paper's testbed where noted; EXPERIMENTS.md records the mapping.
+The paper's evaluation replaces ns-3's PHY with per-link traces taken
+in the Table 4 environments (section 6.1).  :func:`link_traces` is the
+only way an experiment gets such traces; it knows three channels
+(:data:`CHANNELS`):
+
+* ``"walking"`` — walking-speed mobility (section 6.2): each link
+  draws a start distance of 4–8 m, walks away at 1.2 m/s and fades at
+  a 40 Hz Doppler.  It reads neither ``mean_snr_db`` nor
+  ``doppler_hz``; the trajectory sets the mean SNR.
+* ``"static"`` — the static short-range channel of the interference
+  study (section 6.4): a constant ``mean_snr_db`` with a residual
+  1 Hz Doppler, so a mid-table rate is the steady optimum and
+  collisions come from the MAC simulation, not the trace.
+* ``"fading"`` — the fading simulator at a fixed Doppler
+  (section 6.3): a constant ``mean_snr_db`` at ``doppler_hz``.
+
+:func:`channel_inputs` says which inputs a channel reads, so callers
+that memoize traces (the campaign cell's trace pool) key on those
+alone.
+
+**Seed rule.**  Link ``i`` of a call draws everything from
+``np.random.default_rng(seed + offset + i)``, with ``offset`` 0 for
+walking, 100 for fading and 200 for static.  Traces, goldens and
+frame-log digests are pinned to these seeds and to the draw order
+documented on :func:`repro.traces.generate.generate_fading_trace`.
+
+**What stays outside.**  fig05 and ``repro trace`` call
+:func:`generate_fading_trace` themselves: they walk from a set start
+distance (5 m by default) and seed the generator without a
+per-channel offset, so routing them through :func:`link_traces` would
+change their output.  Downlink seeds stay with their callers too:
+fig13, fig17 and ``repro simulate --workload tcp`` use
+:func:`downlink_seed` (+50), while the campaign cell uses its own
+``_DOWNLINK_SEED_OFFSET``.  Merging the two rules would move the
+results of one side, so it waits for a deliberate golden
+regeneration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,56 +48,23 @@ from repro.channel.mobility import WalkingTrajectory
 from repro.traces.format import LinkTrace
 from repro.traces.generate import generate_fading_trace
 
-__all__ = ["ExperimentPreset", "static_experiment", "walking_experiment",
-           "simulation_experiment", "walking_traces",
-           "simulation_traces", "static_short_range_traces",
+__all__ = ["CHANNELS", "channel_inputs", "link_traces",
            "DOWNLINK_SEED_OFFSET", "downlink_seed"]
 
+#: The channels :func:`link_traces` generates.
+CHANNELS = ("walking", "static", "fading")
+
+#: Added to the caller's seed per channel (see the seed rule above).
+_SEED_OFFSETS = {"walking": 0, "fading": 100, "static": 200}
+
+#: The Doppler spread of the channels that fix it, in Hz.
+_FIXED_DOPPLER_HZ = {"walking": 40.0, "static": 1.0}
+
 #: How far above the uplink seed fig13, fig17 and ``repro simulate
-#: --workload tcp`` seed their downlink traces.  The generators seed
-#: link ``i`` at ``seed + i``, so it is also the largest client count
-#: those entry points support.
+#: --workload tcp`` seed their downlink traces.  :func:`link_traces`
+#: seeds link ``i`` at ``seed + i``, so it is also the largest client
+#: count those entry points support.
 DOWNLINK_SEED_OFFSET = 50
-
-
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """Parameters of one Table 4 row."""
-
-    name: str
-    description: str
-    tx_powers_db: tuple
-    n_runs: int
-    doppler_hz: float
-    duration: float
-
-
-def static_experiment(n_powers: int = 20) -> ExperimentPreset:
-    """Table 4 "Static": six static pairs, 20 tx powers, 6 bit rates."""
-    return ExperimentPreset(
-        name="static",
-        description="static sender-receiver pairs, long range mode",
-        tx_powers_db=tuple(np.linspace(0.0, 19.0, n_powers)),
-        n_runs=6, doppler_hz=0.5, duration=1.0)
-
-
-def walking_experiment() -> ExperimentPreset:
-    """Table 4 "Walking": sender walking away, 10 runs of 10 s."""
-    return ExperimentPreset(
-        name="walking",
-        description="walking-speed mobility, short range mode",
-        tx_powers_db=(10.0,), n_runs=10, doppler_hz=40.0, duration=10.0)
-
-
-def simulation_experiment(doppler_hz: float) -> ExperimentPreset:
-    """Table 4 "Simulation": GNU Radio fading simulator, 40 Hz-4 kHz."""
-    if not 40.0 <= doppler_hz <= 4000.0:
-        raise ValueError("paper sweeps Doppler 40 Hz to 4 kHz")
-    return ExperimentPreset(
-        name=f"simulation_{int(doppler_hz)}hz",
-        description="fading channel simulator at fixed Doppler spread",
-        tx_powers_db=tuple(np.linspace(0.0, 19.0, 20)),
-        n_runs=1, doppler_hz=doppler_hz, duration=2.0)
 
 
 def downlink_seed(seed: int, n_links: int) -> int:
@@ -88,55 +85,67 @@ def downlink_seed(seed: int, n_links: int) -> int:
     return seed + DOWNLINK_SEED_OFFSET
 
 
-def walking_traces(n_links: int, duration: float = 10.0,
-                   seed: int = 2009, payload_bits: int = 11200
-                   ) -> List[LinkTrace]:
-    """The ten walking traces used to model links in section 6.2.
+def channel_inputs(channel: str, mean_snr_db: Optional[float],
+                   doppler_hz: Optional[float]
+                   ) -> Tuple[Optional[float], Optional[float]]:
+    """``(mean_snr_db, doppler_hz)`` with each input ``channel`` does
+    not read replaced by ``None``.
 
-    Each link gets an independent walking trajectory (independent
-    fading realisation and start distance) but the same statistics.
+    Raises:
+        ValueError: ``channel`` is not one of :data:`CHANNELS`, or an
+            input it reads is ``None``.
     """
-    traces = []
-    for link in range(n_links):
-        rng = np.random.default_rng(seed + link)
-        trajectory = WalkingTrajectory(
-            rng, start_distance=float(rng.uniform(4.0, 8.0)),
-            speed=1.2, doppler_hz=40.0)
-        traces.append(generate_fading_trace(
-            rng, duration=duration, mean_snr_db=trajectory.mean_snr_db,
-            doppler_hz=40.0, payload_bits=payload_bits))
-    return traces
+    if channel not in CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}; "
+                         f"available: {list(CHANNELS)}")
+    if channel == "walking":
+        return None, None
+    if mean_snr_db is None:
+        raise ValueError(f"the {channel!r} channel reads mean_snr_db")
+    if channel == "static":
+        return mean_snr_db, None
+    if doppler_hz is None:
+        raise ValueError(f"the {channel!r} channel reads doppler_hz")
+    return mean_snr_db, doppler_hz
 
 
-def simulation_traces(doppler_hz: float, n_links: int = 1,
-                      duration: float = 5.0, mean_snr_db: float = 18.0,
-                      seed: int = 2009, payload_bits: int = 11200
-                      ) -> List[LinkTrace]:
-    """Fast-fading simulator traces for section 6.3 (fixed Doppler)."""
-    traces = []
-    for link in range(n_links):
-        rng = np.random.default_rng(seed + 100 + link)
-        traces.append(generate_fading_trace(
-            rng, duration=duration,
-            mean_snr_db=lambda t: mean_snr_db,
-            doppler_hz=doppler_hz, payload_bits=payload_bits))
-    return traces
+def link_traces(channel: str, n_links: int, seed: int, duration: float,
+                mean_snr_db: Optional[float] = None,
+                doppler_hz: Optional[float] = None,
+                payload_bits: int = 11200) -> Tuple[LinkTrace, ...]:
+    """``n_links`` independent read-only traces of one channel.
 
+    Every link has the channel's statistics and its own fading
+    realisation (and, walking, its own start distance).
 
-def static_short_range_traces(n_links: int, duration: float = 10.0,
-                              mean_snr_db: float = 16.0, seed: int = 2009,
-                              payload_bits: int = 11200) -> List[LinkTrace]:
-    """Static short-range traces for the interference study (6.4).
+    Args:
+        channel: one of :data:`CHANNELS`.
+        n_links: traces to generate (>= 1).
+        seed: base seed; link ``i`` uses ``seed + offset + i``.
+        duration: trace length in seconds.
+        mean_snr_db: mean SNR of the static and fading channels.
+        doppler_hz: Doppler spread of the fading channel.
+        payload_bits: frame payload the traces size frames by.
 
-    A static channel (residual Doppler from environmental motion only)
-    where a mid-table rate is the steady optimum; collisions are then
-    injected by the MAC simulation, not the trace.
+    Raises:
+        ValueError: an unknown channel, a missing input the channel
+            reads, ``n_links < 1``, or a duration that is not finite
+            and positive.
     """
+    mean, doppler = channel_inputs(channel, mean_snr_db, doppler_hz)
+    if n_links < 1:
+        raise ValueError(f"n_links must be >= 1, got {n_links}")
+    doppler = _FIXED_DOPPLER_HZ.get(channel, doppler)
     traces = []
     for link in range(n_links):
-        rng = np.random.default_rng(seed + 200 + link)
+        rng = np.random.default_rng(seed + _SEED_OFFSETS[channel] + link)
+        if channel == "walking":
+            snr = WalkingTrajectory(
+                rng, start_distance=float(rng.uniform(4.0, 8.0)),
+                speed=1.2, doppler_hz=doppler).mean_snr_db
+        else:
+            snr = lambda t: mean    # noqa: E731 - constant mean SNR
         traces.append(generate_fading_trace(
-            rng, duration=duration,
-            mean_snr_db=lambda t: mean_snr_db,
-            doppler_hz=1.0, payload_bits=payload_bits))
-    return traces
+            rng, duration=duration, mean_snr_db=snr, doppler_hz=doppler,
+            payload_bits=payload_bits).read_only())
+    return tuple(traces)

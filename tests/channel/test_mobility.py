@@ -51,5 +51,8 @@ class TestSmallScale:
         assert max(snrs) - min(snrs) > 15.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WalkingTrajectory(np.random.default_rng(0), start_distance=0.0)
+        # NaN used to walk from 0.5 m, inf to give a -inf dB trace.
+        for distance in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="start distance"):
+                WalkingTrajectory(np.random.default_rng(0),
+                                  start_distance=distance)

@@ -84,7 +84,8 @@ class TestFadingStatistics:
 
     def test_validation(self):
         rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            RayleighFadingProcess(-1.0, rng)
+        for doppler in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="Doppler"):
+                RayleighFadingProcess(doppler, rng)
         with pytest.raises(ValueError):
             RayleighFadingProcess(40.0, rng, n_sinusoids=2)

@@ -32,8 +32,9 @@ class TestPrediction:
     def test_validation(self):
         with pytest.raises(ValueError):
             predict_ber(1.5, 0, 1)
-        with pytest.raises(ValueError):
-            predict_ber(1e-4, 0, 1, separation=0.5)
+        for separation in (0.5, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="separation"):
+                predict_ber(1e-4, 0, 1, separation=separation)
 
 
 @given(st.floats(min_value=1e-10, max_value=0.4),

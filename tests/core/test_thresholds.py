@@ -36,8 +36,19 @@ class TestRecoveryModels:
     def test_validation(self):
         with pytest.raises(ValueError):
             FrameLevelArq(frame_bits=0)
-        with pytest.raises(ValueError):
-            PartialBitArq(cost_per_error=0.0)
+        # NaN and inf used to yield a table of flat thresholds.
+        for cost in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cost per error"):
+                PartialBitArq(cost_per_error=cost)
+
+    @pytest.mark.parametrize("separation", [0.5, -1.0, float("nan"),
+                                            float("inf")])
+    def test_separation_must_be_finite_and_at_least_one(self,
+                                                        separation):
+        # -1 used to give alpha above beta; NaN a table of nonsense.
+        with pytest.raises(ValueError, match="separation"):
+            compute_thresholds(RATES, FrameLevelArq(frame_bits=10000),
+                               separation=separation)
 
 
 class TestThresholdStructure:

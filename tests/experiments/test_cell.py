@@ -6,7 +6,8 @@ import pytest
 
 from repro.experiments import cell
 from repro.experiments.api import get_experiment, run
-from repro.experiments.cell import CHANNEL_MODELS, run_cell
+from repro.experiments.cell import run_cell
+from repro.traces.workloads import CHANNELS as CHANNEL_MODELS
 
 _FAST = dict(duration=0.05, n_clients=1, trace_pool=1)
 

@@ -120,11 +120,11 @@ def compute_mac_point(config, backend, protocol, engine="event"):
     from repro.experiments.common import protocol_factory
     from repro.sim.slotmac import run_slot_contention
     from repro.sim.topology import run_mac_contention
-    from repro.traces.workloads import static_short_range_traces
+    from repro.traces.workloads import link_traces
 
-    traces = static_short_range_traces(
-        config["n_clients"], duration=config["trace_duration"],
-        mean_snr_db=config["mean_snr_db"], seed=config["trace_seed"],
+    traces = link_traces(
+        "static", config["n_clients"], config["trace_seed"],
+        config["trace_duration"], mean_snr_db=config["mean_snr_db"],
         payload_bits=config["payload_bits"])
     run_contention = run_mac_contention if engine == "event" \
         else run_slot_contention
@@ -261,10 +261,12 @@ def _direct(**overrides):
     return {"kind": "direct", **_DIRECT_DEFAULTS, **overrides}
 
 
-#: The pinned fading-trace cases: the three ``repro.traces.workloads``
-#: presets at two seeds each, one full-length 10 s walking trace, and
-#: direct :func:`generate_fading_trace` calls that each move one knob
-#: off its default.
+#: The pinned fading-trace cases: the three channels of
+#: :func:`repro.traces.workloads.link_traces` at two seeds each, one
+#: full-length 10 s walking trace, and direct
+#: :func:`generate_fading_trace` calls that each move one knob off its
+#: default.  A channel case's ``kind`` names its channel through
+#: :data:`_CHANNEL_KINDS`.
 TRACE_CASES = {
     "walking/2009": {"kind": "walking_traces", "n_links": 2,
                      "duration": 0.5, "seed": 2009},
@@ -303,6 +305,11 @@ TRACE_CASES = {
 }
 
 
+#: The channel each ``link_traces`` case kind generates.
+_CHANNEL_KINDS = {"walking_traces": "walking",
+                  "simulation_traces": "fading",
+                  "static_short_range_traces": "static"}
+
 #: The ``LinkTrace`` arrays the trace pin hashes.
 TRACE_ARRAYS = ("snr_db", "true_snr_db", "detected", "ber_true",
                 "ber_est", "delivered", "loss_prob")
@@ -328,7 +335,7 @@ def compute_trace_case(config):
     """Hashes of every trace one case generates, in generation order.
 
     Each entry hashes every ``LinkTrace`` array and the RNG state the
-    generator left behind; preset cases record that state by wrapping
+    generator left behind; channel cases record that state by wrapping
     the generator where ``repro.traces.workloads`` looks it up.
     """
     from repro.phy.rates import MODES, RATE_TABLE
@@ -355,7 +362,9 @@ def compute_trace_case(config):
     else:
         workloads.generate_fading_trace = recording
         try:
-            traces = getattr(workloads, config["kind"])(**params)
+            traces = workloads.link_traces(
+                _CHANNEL_KINDS[config["kind"]], params.pop("n_links"),
+                params.pop("seed"), params.pop("duration"), **params)
         finally:
             workloads.generate_fading_trace = generator
     return [{"arrays": {name: _array_hash(getattr(trace, name))

@@ -7,16 +7,15 @@ from repro.analysis.metrics import frame_log_digest
 from repro.experiments.common import protocol_factory
 from repro.sim.mac import MacConfig
 from repro.sim.slotmac import run_slot_contention
-from repro.traces.workloads import static_short_range_traces
+from repro.traces.workloads import link_traces
 
 _PAYLOAD_BITS = 368
 
 
 @pytest.fixture(scope="module")
 def traces():
-    return static_short_range_traces(
-        2, duration=0.2, mean_snr_db=14.0, seed=42,
-        payload_bits=_PAYLOAD_BITS)
+    return link_traces("static", 2, 42, 0.2, mean_snr_db=14.0,
+                       payload_bits=_PAYLOAD_BITS)
 
 
 def run(traces, **overrides):
@@ -40,6 +39,13 @@ class TestValidation:
     def test_empty_traces_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             run([])
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_duration_must_be_positive_and_finite(self, traces,
+                                                  duration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run(traces, duration=duration)
 
 
 class TestResults:
@@ -88,9 +94,8 @@ class TestResults:
                    for log in result.frame_logs.values() for e in log)
 
     def test_retry_limit_drops_frames(self):
-        lossy = static_short_range_traces(
-            1, duration=0.2, mean_snr_db=-40.0, seed=42,
-            payload_bits=_PAYLOAD_BITS)
+        lossy = link_traces("static", 1, 42, 0.2, mean_snr_db=-40.0,
+                            payload_bits=_PAYLOAD_BITS)
         sink = []
         result = run(lossy, n_clients=1, duration=0.05,
                      _engine_out=sink)

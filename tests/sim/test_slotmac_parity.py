@@ -18,16 +18,15 @@ from repro.analysis.metrics import frame_log_digest
 from repro.experiments.common import protocol_factory
 from repro.sim.slotmac import run_slot_contention
 from repro.sim.topology import run_mac_contention
-from repro.traces.workloads import static_short_range_traces
+from repro.traces.workloads import link_traces
 
 _PAYLOAD_BITS = 368
 
 
 @pytest.fixture(scope="module")
 def traces():
-    return static_short_range_traces(
-        4, duration=0.2, mean_snr_db=14.0, seed=42,
-        payload_bits=_PAYLOAD_BITS)
+    return link_traces("static", 4, 42, 0.2, mean_snr_db=14.0,
+                       payload_bits=_PAYLOAD_BITS)
 
 
 def _both(traces, protocol, n_clients, backend, duration=0.05, seed=3):
@@ -98,9 +97,8 @@ def test_parity_across_seeds(traces, seed):
 def test_parity_under_total_loss():
     """A dead link exercises the silent-loss and retry-limit drop
     paths; the engines must still agree on every abandoned attempt."""
-    lossy = static_short_range_traces(2, duration=0.2,
-                                      mean_snr_db=-40.0, seed=42,
-                                      payload_bits=_PAYLOAD_BITS)
+    lossy = link_traces("static", 2, 42, 0.2, mean_snr_db=-40.0,
+                        payload_bits=_PAYLOAD_BITS)
     event, slot = _both(lossy, "softrate", 2, "surrogate")
     assert event.frame_logs == slot.frame_logs
     assert event.per_client_frames == slot.per_client_frames == [0, 0]

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.common import protocol_factory
 from repro.sim.mac import MacConfig
 from repro.sim.slotmac import run_slot_contention
-from repro.traces.workloads import static_short_range_traces
+from repro.traces.workloads import link_traces
 
 _CFG = MacConfig()
 
@@ -35,9 +35,8 @@ while True:
         break
     _w = min(2 * _w + 1, _CFG.cw_max)
 
-_TRACES = static_short_range_traces(2, duration=0.15,
-                                    mean_snr_db=14.0, seed=42,
-                                    payload_bits=368)
+_TRACES = link_traces("static", 2, 42, 0.15, mean_snr_db=14.0,
+                      payload_bits=368)
 
 _SCENARIO = dict(
     protocol=st.sampled_from(["softrate", "rraa"]),

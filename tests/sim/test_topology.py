@@ -7,6 +7,11 @@ from repro.sim.topology import run_tcp_uplink
 from repro.traces.synthetic import constant_trace
 
 
+#: Durations a run must refuse instead of dividing by, looping on or
+#: reporting as a negative rate.
+_BAD_DURATIONS = [0.0, -1.0, float("nan"), float("inf")]
+
+
 def _traces(n, best_rate=4):
     return [constant_trace(best_rate=best_rate, duration=2.0)
             for _ in range(n)]
@@ -71,6 +76,13 @@ class TestTcpUplink:
             run_tcp_uplink([], [], lambda r, t: FixedRate(r, 0),
                            n_clients=1)
 
+    @pytest.mark.parametrize("duration", _BAD_DURATIONS)
+    def test_duration_must_be_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_tcp_uplink(_traces(1), _traces(1),
+                           lambda rates, trace: FixedRate(rates, 4),
+                           n_clients=1, duration=duration)
+
 
 class TestRecycledTraces:
     def test_small_pool_serves_many_clients(self):
@@ -115,6 +127,11 @@ class TestMacContention:
         return run_mac_contention(
             _traces(2, best_rate=3),
             lambda rates, trace: FixedRate(rates, 3), **defaults)
+
+    @pytest.mark.parametrize("duration", _BAD_DURATIONS)
+    def test_duration_must_be_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            self._run(duration=duration)
 
     def test_saturated_clients_deliver_frames(self):
         result = self._run()

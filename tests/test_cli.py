@@ -100,9 +100,10 @@ class TestSimulate:
         assert outputs["event"] == outputs["slot"]
 
     def test_slot_engine_requires_mac_workload(self, capsys):
-        with pytest.raises(SystemExit, match="workload"):
-            main(["simulate", "--engine", "slot",
-                  "--duration", "0.05"])
+        assert main(["simulate", "--engine", "slot",
+                     "--duration", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workload" in err
 
 
 class TestProtocolChoices:
@@ -263,13 +264,13 @@ class TestCalibrateCommand:
         assert table.n_rates == 6
         assert table.snr_grid_db.size == 4
 
-    def test_rejects_nonpositive_snr_step(self, tmp_path):
-        with pytest.raises(SystemExit, match="snr-step"):
-            main(["calibrate", "--output", str(tmp_path / "c.json"),
-                  "--snr-step", "0"])
-        with pytest.raises(SystemExit, match="snr-step"):
-            main(["calibrate", "--output", str(tmp_path / "c.json"),
-                  "--snr-step", "-1"])
+    def test_rejects_nonpositive_snr_step(self, tmp_path, capsys):
+        for step in ("0", "-1"):
+            assert main(["calibrate", "--output",
+                         str(tmp_path / "c.json"),
+                         "--snr-step", step]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "snr-step" in err
 
 
 class TestCampaign:

@@ -1,18 +1,23 @@
-"""Argument wall for ``repro run`` and ``repro sweep``.
+"""Argument walls for ``repro run``/``sweep`` and for ``simulate``,
+``trace`` and ``thresholds``.
 
 Every argument these commands take crosses a boundary, so each command
 either runs or is rejected the same way: exit code 2, an ``error:``
-line last on stderr, no traceback, and nothing written to the cache
-directory.  The property test drives ``cli-any``, an experiment that
-accepts any parameter value and never fails, so every exit 2 it sees
-is a rejected argument rather than a failed run.
+line last on stderr and no traceback; ``run`` and ``sweep`` also write
+nothing to the cache directory.  The ``run``/``sweep`` property test
+drives ``cli-any``, an experiment that accepts any parameter value and
+never fails, so every exit 2 it sees is a rejected argument rather
+than a failed run.
 """
 
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -251,3 +256,120 @@ def test_every_command_runs_or_is_rejected_cleanly(argv):
         assert "Traceback" not in err
         if code == 2:
             _assert_rejected(code, err, cache)
+
+
+def _assert_clean_exit(code, err):
+    """Exit 0, or exit 2 with a last stderr line of ``error:``; never a
+    traceback."""
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.strip().splitlines()
+        assert lines and lines[-1].startswith("error:"), err
+
+
+class TestOutOfRangeInputs:
+    """Inputs that used to crash, print nonsense or never return."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--clients=0"],            # was an IndexError
+        ["simulate", "--duration=0"],           # a ZeroDivisionError
+        ["simulate", "--duration=-1"],          # -0.00 Mbps, exit 0
+        ["simulate", "--duration=nan"],         # exit 0
+        ["thresholds", "--frame-bits=0"],
+        ["thresholds", "--recovery=harq", "--cost-per-error=0"],
+        ["thresholds", "--separation=-1"],      # alpha above beta
+        ["thresholds", "--separation=nan"],
+        ["run", "cell", "--set", "duration=0", "--no-cache"],
+        ["run", "fig13", "--set", "duration=0",
+         "--set", "client_counts=(1,)", "--no-cache"],
+    ])
+    def test_exits_2_with_one_error_line(self, argv):
+        code, _out, err = _cli(argv)
+        assert code == 2, err
+        _assert_clean_exit(code, err)
+
+    @pytest.mark.parametrize("flags", [
+        ["--duration=0"], ["--duration=nan"], ["--doppler=-5"],
+        ["--walking", "--distance=0"], ["--snr=nan"],
+    ])
+    def test_trace_exits_2_with_one_error_line(self, flags, tmp_path):
+        path = tmp_path / "t.npz"
+        code, _out, err = _cli(["trace", str(path)] + flags)
+        assert code == 2, err
+        _assert_clean_exit(code, err)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--duration=inf"],
+        ["--workload=mac", "--engine=slot", "--duration=nan"],
+    ])
+    def test_a_simulation_that_never_ends_is_refused(self, flags):
+        """Both used to run forever, so each runs in a subprocess with
+        a deadline."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in ("src", os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate"] + flags,
+            capture_output=True, text=True, timeout=120, env=env,
+            cwd=os.path.dirname(os.path.dirname(__file__)))
+        assert proc.returncode == 2, proc.stderr
+        _assert_clean_exit(proc.returncode, proc.stderr)
+
+
+_ODD = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def _simulate_argv(draw):
+    return ["simulate", "--workload=mac",
+            f"--engine={draw(st.sampled_from(['event', 'slot']))}",
+            f"--clients={draw(st.integers(-2, 2))}",
+            f"--duration="
+            f"{draw(st.floats(-1.0, 0.02) | st.just(float('nan')))}"]
+
+
+@st.composite
+def _trace_argv(draw):
+    argv = ["trace",
+            f"--duration={draw(st.floats(-1.0, 0.05) | _ODD)}",
+            f"--doppler={draw(st.floats(-10.0, 4000.0) | _ODD)}",
+            f"--seed={draw(st.integers(-1, 3))}"]
+    if draw(st.booleans()):
+        argv += ["--walking",
+                 f"--distance={draw(st.floats(-1.0, 20.0) | _ODD)}"]
+    else:
+        argv.append(f"--snr={draw(st.floats(-20.0, 40.0) | _ODD)}")
+    return argv
+
+
+@st.composite
+def _thresholds_argv(draw):
+    return ["thresholds",
+            f"--recovery={draw(st.sampled_from(['arq', 'harq']))}",
+            f"--frame-bits={draw(st.integers(-2, 20000))}",
+            f"--cost-per-error={draw(st.floats(-1.0, 1000.0) | _ODD)}",
+            f"--separation={draw(st.floats(-2.0, 100.0) | _ODD)}"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(argv=_simulate_argv())
+def test_simulate_runs_or_is_rejected_cleanly(argv):
+    code, _out, err = _cli(argv)
+    _assert_clean_exit(code, err)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_trace_argv())
+def test_trace_runs_or_is_rejected_cleanly(argv, tmp_path):
+    code, _out, err = _cli(argv[:1] + [str(tmp_path / "t.npz")]
+                           + argv[1:])
+    _assert_clean_exit(code, err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=_thresholds_argv())
+def test_thresholds_runs_or_is_rejected_cleanly(argv):
+    code, _out, err = _cli(argv)
+    _assert_clean_exit(code, err)

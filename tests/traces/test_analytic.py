@@ -90,7 +90,6 @@ class TestFrameLoss:
             float(np.mean(per_symbol)))
 
 
-@pytest.mark.slow
 class TestAgainstFullPhy:
     def test_waterfall_matches_measured(self):
         """The analytic curve must track the bit-exact PHY within a

@@ -4,8 +4,8 @@ fig13, fig17 and ``repro simulate --workload tcp`` seed downlink ``i``
 at ``seed + 50 + i`` while the generators seed uplink ``i`` at
 ``seed + i``: from 51 clients on, uplink 50 and downlink 0 would be
 one trace.  Each entry point must refuse such a client count, and
-keep today's seeds up to the limit.  The trace generators are stubbed
-with short constant traces, so only the seeds are real.
+keep today's seeds up to the limit.  ``link_traces`` is stubbed with
+short constant traces, so only the seeds are real.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro.experiments.common import protocol_factory
 from repro.traces import workloads
 from repro.traces.synthetic import constant_trace
 from repro.traces.workloads import (DOWNLINK_SEED_OFFSET, downlink_seed,
-                                    walking_traces)
+                                    link_traces)
 
 
 class _StubTraces:
@@ -26,7 +26,7 @@ class _StubTraces:
     def __init__(self):
         self.seeds = []
 
-    def __call__(self, n_links, seed, **_kwargs):
+    def __call__(self, _channel, n_links, seed, *_args, **_kwargs):
         self.seeds.append(seed)
         return [constant_trace(best_rate=3, duration=0.2)] * n_links
 
@@ -39,15 +39,15 @@ def test_the_offset_is_the_limit():
 
 
 def test_the_limit_is_where_traces_alias():
-    up = walking_traces(51, duration=0.05, seed=3)
-    down = walking_traces(51, duration=0.05, seed=3 + 50)
+    up = link_traces("walking", 51, 3, 0.05)
+    down = link_traces("walking", 51, 3 + 50, 0.05)
     assert np.array_equal(up[50].snr_db, down[0].snr_db)
     assert not np.array_equal(up[49].snr_db, down[0].snr_db)
 
 
 def test_fig13(monkeypatch):
     stub = _StubTraces()
-    monkeypatch.setattr(fig13_slow_fading, "walking_traces", stub)
+    monkeypatch.setattr(fig13_slow_fading, "link_traces", stub)
     algorithms = [("SoftRate", protocol_factory("softrate"))]
     with pytest.raises(ValueError, match="'cell' experiment"):
         fig13_slow_fading.run_fig13(client_counts=(1, 51),
@@ -62,8 +62,7 @@ def test_fig13(monkeypatch):
 
 def test_fig17(monkeypatch):
     stub = _StubTraces()
-    monkeypatch.setattr(fig17_interference,
-                        "static_short_range_traces", stub)
+    monkeypatch.setattr(fig17_interference, "link_traces", stub)
     with pytest.raises(ValueError, match="limited to 50 clients"):
         fig17_interference.run_fig17(n_clients=51)
     assert stub.seeds == []
@@ -76,9 +75,9 @@ def test_fig17(monkeypatch):
 
 def test_simulate_cli(monkeypatch, capsys):
     stub = _StubTraces()
-    monkeypatch.setattr(workloads, "walking_traces", stub)
-    with pytest.raises(SystemExit, match="error: 51 clients would alias"):
-        main(["simulate", "--clients", "51", "--duration", "0.1"])
+    monkeypatch.setattr(workloads, "link_traces", stub)
+    assert main(["simulate", "--clients", "51", "--duration", "0.1"]) == 2
+    assert "error: 51 clients would alias" in capsys.readouterr().err
     assert stub.seeds == []
     assert main(["simulate", "--clients", "50", "--duration", "0.01",
                  "--seed", "4"]) == 0

@@ -74,8 +74,10 @@ class TestFadingTrace:
         assert 0.0 < 1.0 - walking.detected.mean() < 0.5
 
     def test_duration_validated(self):
-        with pytest.raises(ValueError):
-            generate_fading_trace(np.random.default_rng(0), duration=0.0)
+        for duration in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                generate_fading_trace(np.random.default_rng(0),
+                                      duration=duration)
 
 
 class TestConsistencyAcrossRates:
@@ -92,7 +94,6 @@ class TestConsistencyAcrossRates:
             assert (trace.loss_prob[r][top_ok] < 0.1).all()
 
 
-@pytest.mark.slow
 class TestFullPhyTrace:
     def test_generates_and_matches_analytic_shape(self):
         rng = np.random.default_rng(4)
