@@ -20,9 +20,12 @@ single raising, hanging or crashing scenario must not kill a
 thousand-scenario sweep.  Failures are retried with seeded exponential
 backoff; scenarios that keep failing are *quarantined* — appended to
 ``quarantine.jsonl`` with their captured traceback — and the sweep
-continues.  Under a process pool, a per-scenario wall-clock watchdog
-kills hung workers and rebuilds the pool; a worker process dying
-outright (``BrokenProcessPool``) likewise triggers a rebuild, with the
+continues.  A ``ValueError`` out of the experiment (subclasses
+included) is a rejected parameterization, which fails the same way on
+every attempt, so it is quarantined at its first attempt.  Under a
+process pool, a per-scenario wall-clock watchdog kills hung workers
+and rebuilds the pool; a worker process dying outright
+(``BrokenProcessPool``) likewise triggers a rebuild, with the
 in-flight scenarios retried.  The fault-injection harness in
 :mod:`repro.campaigns.faults` exists to prove all of this: under every
 injected fault class a resumed campaign's summary is byte-identical
@@ -48,7 +51,8 @@ from repro.campaigns.faults import FaultPlan, FaultSpec
 from repro.campaigns.matrix import (CampaignError, CampaignMatrix,
                                     CampaignScenario)
 from repro.core.mix import uniform01
-from repro.experiments.api import _canonical, execute_task
+from repro.experiments.api import (ExperimentExecutionError,
+                                   _canonical, execute_task)
 
 __all__ = ["CampaignRunner", "CampaignStatus", "parse_shard"]
 
@@ -73,10 +77,12 @@ def _worker(task: Tuple[str, str, Dict[str, Any],
     """Pool target: run one scenario attempt, never raising.
 
     Returns ``("ok", metrics, elapsed)`` on success or ``("error",
-    kind, message, traceback_text, elapsed)`` on failure — structured
-    tuples instead of exceptions, because an exception type that does
-    not unpickle cleanly would otherwise poison the pool protocol
-    itself.  ``fault``, when set, is this scenario's injected fault
+    kind, message, traceback_text, elapsed, rejected)`` on failure —
+    structured tuples instead of exceptions, because an exception type
+    that does not unpickle cleanly would otherwise poison the pool
+    protocol itself.  ``rejected`` is true when the experiment raised
+    a ``ValueError``: a rejected parameterization no retry can clear.
+    ``fault``, when set, is this scenario's injected fault
     (:mod:`repro.campaigns.faults`); a ``crash`` fault exits the
     process without ever returning.
     """
@@ -88,8 +94,11 @@ def _worker(task: Tuple[str, str, Dict[str, Any],
         metrics = execute_task(experiment, module, params)
     except Exception as exc:
         import traceback
+        rejected = isinstance(exc, ExperimentExecutionError) \
+            and isinstance(exc.__cause__, ValueError)
         return ("error", type(exc).__name__, str(exc),
-                traceback.format_exc(), time.perf_counter() - start)
+                traceback.format_exc(), time.perf_counter() - start,
+                rejected)
     return ("ok", metrics, time.perf_counter() - start)
 
 
@@ -146,7 +155,8 @@ class CampaignRunner:
             execution (a hung in-process scenario cannot be
             interrupted), so ``timeout_s`` with ``jobs=1`` runs a
             supervised pool of one worker.
-        max_retries: failed-scenario retries before quarantine.
+        max_retries: failed-scenario retries before quarantine (a
+            ``ValueError`` out of the experiment is never retried).
         retry_backoff_s: base of the seeded exponential backoff
             between retries (doubled per attempt, jittered
             deterministically from the scenario id).
@@ -320,23 +330,28 @@ class CampaignRunner:
                         scenario: CampaignScenario, attempt: int,
                         kind: str, message: str, traceback_text: str,
                         retry: Callable[[CampaignScenario, int, float],
-                                        None]) -> None:
+                                        None],
+                        rejected: bool = False) -> bool:
         """Retry a failed attempt with backoff, or quarantine.
 
         ``retry(scenario, next_attempt, delay_s)`` is the execution
         path's way of rescheduling (sleep-and-rerun serially, requeue
-        with a not-before time under the pool).
+        with a not-before time under the pool).  A ``rejected``
+        failure (a ``ValueError`` out of the experiment) is
+        quarantined at once.  Returns whether the scenario was
+        rescheduled.
         """
-        if attempt < self.max_retries:
-            delay = self._backoff(scenario, attempt)
-            self._emit(f"scenario #{scenario.index} attempt "
-                       f"{attempt + 1}/{self.max_retries + 1} failed "
-                       f"({kind}: {message}); retrying in "
-                       f"{delay:.3f} s")
-            retry(scenario, attempt + 1, delay)
-        else:
+        if rejected or attempt >= self.max_retries:
             self._quarantine(store, scenario, kind, message,
                              traceback_text, attempts=attempt + 1)
+            return False
+        delay = self._backoff(scenario, attempt)
+        self._emit(f"scenario #{scenario.index} attempt "
+                   f"{attempt + 1}/{self.max_retries + 1} failed "
+                   f"({kind}: {message}); retrying in "
+                   f"{delay:.3f} s")
+        retry(scenario, attempt + 1, delay)
+        return True
 
     def _harness_error(self, store: ResultStore,
                        scenario: CampaignScenario,
@@ -369,16 +384,14 @@ class CampaignRunner:
                                       outcome[2], position,
                                       len(pending))
                     break
-                _, kind, message, traceback_text, _elapsed = outcome
-                if attempt >= self.max_retries:
-                    self._quarantine(store, scenario, kind, message,
-                                     traceback_text,
-                                     attempts=attempt + 1)
+                _, kind, message, traceback_text, _elapsed, \
+                    rejected = outcome
+                if not self._handle_failure(
+                        store, scenario, attempt, kind, message,
+                        traceback_text,
+                        retry=lambda _s, _a, delay: time.sleep(delay),
+                        rejected=rejected):
                     break
-                self._handle_failure(
-                    store, scenario, attempt, kind, message,
-                    traceback_text,
-                    retry=lambda _s, _a, delay: time.sleep(delay))
                 attempt += 1
 
     # -- supervised pool execution ------------------------------------
@@ -411,9 +424,11 @@ class CampaignRunner:
                 self._record_done(out, scenario, outcome[1],
                                   outcome[2], position, total)
             else:
-                _, kind, message, traceback_text, _elapsed = outcome
+                _, kind, message, traceback_text, _elapsed, \
+                    rejected = outcome
                 self._handle_failure(store, scenario, attempt, kind,
-                                     message, traceback_text, retry)
+                                     message, traceback_text, retry,
+                                     rejected)
 
         def drain_and_rebuild(reason: str) -> None:
             """Salvage every outstanding future, then replace the

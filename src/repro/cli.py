@@ -18,7 +18,8 @@ Commands:
   fan-out, ``--phy-backend full|surrogate`` as shorthand for ``--set
   phy_backend=…``, cached results, JSON/npz output).  Replicates run
   on the campaign engine, so a rejected argument and a run that still
-  fails after its retries both print one ``error:`` line and exit 2.
+  fails after its retries (a ``ValueError`` is not retried) both
+  print one ``error:`` line and exit 2.
 * ``sweep`` — run one experiment across a parameter sweep.
 * ``campaign`` — thousand-scenario sweeps: ``campaign list`` shows the
   registered matrices, ``campaign run`` executes one (sharded via

@@ -505,12 +505,14 @@ class Runner:
     seed parameter.  :class:`repro.campaigns.CampaignRunner` executes
     it and its result store is the cache: one record per replicate,
     under ``{cache_dir}/campaigns/`` in ``run-<experiment>-<digest>``.
-    A failing replicate is retried, a dying worker under ``jobs > 1``
-    is replaced, and a rerun executes only the replicates that have
-    no record yet.  The cache key is the matrix digest; the records
-    are keyed by scenario id, which also folds in the surrogate
-    calibration fingerprint, so a recalibration recomputes surrogate
-    results.  The PHY backend is an override like any other parameter.
+    A failing replicate is retried (unless it raised a
+    ``ValueError``, a rejected parameterization), a dying worker under
+    ``jobs > 1`` is replaced, and a rerun executes only the replicates
+    that have no record yet.  The cache key is the matrix digest; the
+    records are keyed by scenario id, which also folds in the
+    surrogate calibration fingerprint, so a recalibration recomputes
+    surrogate results.  The PHY backend is an override like any other
+    parameter.
 
     Args:
         jobs: worker processes (1 = run serially in-process; more =

@@ -5,9 +5,9 @@ per-replicate resume and one failure type at any ``jobs``.
 out as a campaign, so these tests pin what that path must keep (every
 replicate's metrics equal an in-process ``run()`` at that seed, serial
 or pooled) and what it adds (a dying worker does not abort the run, a
-rerun after a failure executes only the missing replicates, and a
-failing replicate raises :class:`ExperimentExecutionError` whatever
-``jobs`` is).
+rerun after a failure executes only the missing replicates, a
+``ValueError`` is not retried, and a failing replicate raises
+:class:`ExperimentExecutionError` whatever ``jobs`` is).
 """
 
 import os
@@ -52,8 +52,25 @@ def _run_gated(seed=1, gate="", log=""):
     """Fails persistently at seed 2 until ``gate`` is created."""
     _log_call(log, seed)
     if seed == 2 and not os.path.exists(gate):
-        raise ValueError("seed 2 waits for its gate")
+        raise RuntimeError("seed 2 waits for its gate")
     return {"value": float(seed), "missing": float("nan")}
+
+
+class _OutOfRange(ValueError):
+    """A ``ValueError`` subclass: a rejected parameterization too."""
+
+
+@register_experiment(
+    "exec-rejected",
+    description="seed 2 rejects its parameters with a ValueError",
+    params={"seed": 1, "subclass": False, "log": ""})
+def _run_rejected(seed=1, subclass=False, log=""):
+    """Refuses seed 2 the way an out-of-range parameter is refused."""
+    _log_call(log, seed)
+    if seed == 2:
+        raise (_OutOfRange if subclass else ValueError)(
+            "seed 2 is out of range")
+    return {"value": float(seed)}
 
 
 #: (experiment, overrides) pairs the parity wall runs; cheap settings
@@ -167,10 +184,26 @@ class TestRecovery:
         err = info.value
         assert err.experiment == "exec-gated"
         assert "seed 2 waits for its gate" in str(err)
-        assert "ValueError: seed 2 waits for its gate" in \
+        assert "RuntimeError: seed 2 waits for its gate" in \
             err.traceback_text
         with pytest.raises(ExperimentExecutionError):
             runner.sweep("exec-gated", "seed", [1, 2], params)
+
+    @pytest.mark.parametrize("subclass", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_value_error_is_quarantined_at_its_first_attempt(
+            self, tmp_path, jobs, subclass):
+        log = str(tmp_path / "calls")
+        params = {"subclass": subclass, "log": log}
+        runner = Runner(jobs=jobs, cache_dir=str(tmp_path / "cache"))
+        with pytest.raises(ExperimentExecutionError) as info:
+            runner.run("exec-rejected", params, seeds=[1, 2, 3])
+        # Seed 2 ran once; the quarantine records that one attempt.
+        assert sorted(_calls(log)) == ["1", "2", "3"]
+        assert "after 1 attempt(s)" in str(info.value)
+        name = "_OutOfRange" if subclass else "ValueError"
+        assert f"{name}: seed 2 is out of range" in \
+            info.value.traceback_text
 
     def test_sweep_rerun_executes_only_the_failed_point(self, tmp_path):
         gate, log = str(tmp_path / "gate"), str(tmp_path / "calls")

@@ -8,17 +8,23 @@ nothing to the cache directory.  The ``run``/``sweep`` property test
 drives ``cli-any``, an experiment that accepts any parameter value and
 never fails, so every exit 2 it sees is a rejected argument rather
 than a failed run.
+
+Each in-process invocation runs under a wall-clock alarm, so a command
+that never returns fails its test, naming the argv, instead of hanging
+the suite; the property walls skip shrinking, which would replay one
+hang after another.
 """
 
 import contextlib
 import io
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import _parse_values, main
@@ -34,15 +40,38 @@ def _run_any(seed=0, x=0):
     return {"size": float(len(repr((seed, x))))}
 
 
+#: Wall-clock limit on one in-process invocation.  Every command these
+#: walls run returns in about a second.
+_CLI_DEADLINE_S = 30.0
+
+#: Property-wall settings: no deadline (the alarm bounds an example)
+#: and no shrink phase, so a hang fails after one deadline and its
+#: replay rather than after a shrink through more hangs.
+_WALL = settings(deadline=None, phases=[Phase.explicit, Phase.reuse,
+                                        Phase.generate])
+
+
 def _cli(argv):
     """``(exit code, stdout, stderr)`` of one in-process invocation,
-    argparse's own exits included."""
+    argparse's own exits included.  Raises ``TimeoutError`` naming the
+    argv if it runs past ``_CLI_DEADLINE_S``."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"repro {argv!r} ran past "
+                           f"{_CLI_DEADLINE_S:g} s")
+
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, _CLI_DEADLINE_S)
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -245,7 +274,7 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=100, deadline=None,
+@settings(_WALL, max_examples=100,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argv())
 def test_every_command_runs_or_is_rejected_cleanly(argv):
@@ -288,6 +317,9 @@ class TestOutOfRangeInputs:
         code, _out, err = _cli(argv)
         assert code == 2, err
         _assert_clean_exit(code, err)
+        if argv[0] == "run":
+            # A ValueError is a rejected parameterization: not retried.
+            assert "after 1 attempt(s)" in err, err
 
     @pytest.mark.parametrize("flags", [
         ["--duration=0"], ["--duration=nan"], ["--doppler=-5"],
@@ -352,14 +384,14 @@ def _thresholds_argv(draw):
             f"--separation={draw(st.floats(-2.0, 100.0) | _ODD)}"]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(_WALL, max_examples=20)
 @given(argv=_simulate_argv())
 def test_simulate_runs_or_is_rejected_cleanly(argv):
     code, _out, err = _cli(argv)
     _assert_clean_exit(code, err)
 
 
-@settings(max_examples=40, deadline=None,
+@settings(_WALL, max_examples=40,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_trace_argv())
 def test_trace_runs_or_is_rejected_cleanly(argv, tmp_path):
@@ -368,7 +400,7 @@ def test_trace_runs_or_is_rejected_cleanly(argv, tmp_path):
     _assert_clean_exit(code, err)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(_WALL, max_examples=40)
 @given(argv=_thresholds_argv())
 def test_thresholds_runs_or_is_rejected_cleanly(argv):
     code, _out, err = _cli(argv)
