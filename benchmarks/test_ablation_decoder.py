@@ -37,9 +37,27 @@ def _run_variant(variant, n_frames=12, snr_db=4.5):
             elapsed / n_frames)
 
 
+_VARIANTS = ("log-map", "max-log-map")
+
+#: Timed passes per variant.  The variants alternate, each pass in the
+#: other order, and each keeps its fastest pass, so host load that
+#: comes and goes slows both alike instead of deciding the ratio.
+_PASSES = 4
+
+
 def _run_both():
-    return {variant: _run_variant(variant)
-            for variant in ("log-map", "max-log-map")}
+    """Each variant's first-pass BER estimate and truth, and its
+    fastest per-frame time over the alternated passes."""
+    first, fastest = {}, {}
+    for attempt in range(_PASSES):
+        order = _VARIANTS if attempt % 2 == 0 else _VARIANTS[::-1]
+        for variant in order:
+            est, true, per_frame = _run_variant(variant)
+            first.setdefault(variant, (est, true))
+            fastest[variant] = min(per_frame,
+                                   fastest.get(variant, per_frame))
+    return {variant: (*first[variant], fastest[variant])
+            for variant in _VARIANTS}
 
 
 def test_ablation_decoder_variant(benchmark):
@@ -60,5 +78,5 @@ def test_ablation_decoder_variant(benchmark):
     # Both estimators track the truth.
     assert 0.25 < exact_est / exact_true < 4.0
     assert 0.25 < approx_est / approx_true < 4.0
-    # max-log is not slower.
+    # max-log is not slower (fastest pass against fastest pass).
     assert approx_ms < exact_ms * 1.2

@@ -247,12 +247,14 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from repro.experiments.common import protocol_factory
-    from repro.sim.topology import run_mac_contention, run_tcp_uplink
+    from repro.sim.topology import (check_duration, run_mac_contention,
+                                    run_tcp_uplink)
     from repro.traces.workloads import downlink_seed, link_traces
 
     if args.engine == "slot" and args.workload != "mac":
         raise ValueError("--engine slot requires --workload mac "
                          "(see docs/slotmac.md)")
+    check_duration(args.duration)
     if args.workload == "tcp":
         down_seed = downlink_seed(args.seed, args.clients)
     uplinks = link_traces("walking", args.clients, args.seed, 10.0)

@@ -16,12 +16,16 @@ Design notes for campaign scale:
 * **Trace pooling** — trace generation dominates large-``N`` runs, so
   ``trace_pool`` caps the number of distinct fading realisations per
   direction; the topology recycles them across clients
-  (``recycle_traces``).  An in-process LRU cache additionally shares
-  generated traces between cells that differ only in protocol, MAC
-  seed or a channel input their channel model does not read (walking
-  reads neither ``mean_snr_db`` nor ``doppler_hz``, static ignores
-  ``doppler_hz``), which is the common case inside a matrix.  Pooled
-  traces are read-only: writing to one raises ``ValueError``.
+  (``recycle_traces``).  An in-process LRU cache of single links
+  additionally shares generated traces between cells that differ only
+  in protocol, MAC seed, pool size or a channel input their channel
+  model does not read (walking reads neither ``mean_snr_db`` nor
+  ``doppler_hz``, static ignores ``doppler_hz``), which is the common
+  case inside a matrix.  Pooled traces are read-only: writing to one
+  raises ``ValueError``.  On the surrogate and full PHY backends a
+  cell reads the per-rate columns of its first uplink only (for
+  rate-selection accuracy and SNR training), so the other traces
+  never evaluate the analytic model.
 * **Determinism** — everything derives from ``seed`` / ``trace_seed``;
   the ``frame_log_digest`` metric is an exact content hash of every
   station's frame log, so the campaign determinism wall can assert
@@ -42,7 +46,8 @@ from repro.analysis.metrics import (frame_log_digest,
                                     settling_time)
 from repro.experiments.api import register_experiment
 from repro.sim.slotmac import run_slot_contention
-from repro.sim.topology import AP_ID, run_mac_contention, run_tcp_uplink
+from repro.sim.topology import (AP_ID, check_duration, run_mac_contention,
+                                run_tcp_uplink)
 from repro.traces.format import LinkTrace
 from repro.traces.workloads import channel_inputs, link_traces
 
@@ -60,21 +65,41 @@ _TRACE_MARGIN_S = 0.1
 _DOWNLINK_SEED_OFFSET = 500_009
 
 
-@lru_cache(maxsize=64)
-def _trace_pool(channel: str, n_links: int, duration: float,
+#: Links :func:`_trace_pool` keeps: the 64 pools of up to 8 links
+#: (``trace_pool=8``, one direction each) it kept when it cached whole
+#: pools.  A link holds ~5 KB plus 25 bytes a slot, and 167 bytes a
+#: slot once its per-rate columns are read.  At the stock campaigns'
+#: longest trace (0.35 s, 70 slots) that is ~7 KB, or ~14 KB read, so
+#: the full cache holds at most ~7 MB.
+_POOL_LINKS = 512
+
+
+@lru_cache(maxsize=_POOL_LINKS)
+def _trace_pool(channel: str, duration: float,
                 mean_snr_db: Optional[float], doppler_hz: Optional[float],
-                seed: int) -> Tuple[LinkTrace, ...]:
-    """One direction's read-only traces, memoized per process.
+                seed: int) -> LinkTrace:
+    """One read-only link trace, memoized per process.
 
     Trace generation is a pure function of these arguments and the
     traces are read-only, so cells differing only in protocol, MAC
-    seed or carrier sensing share one realisation per direction.
-    Callers pass the channel inputs through
+    seed or carrier sensing share one realisation per link.  Callers
+    pass the channel inputs through
     :func:`repro.traces.workloads.channel_inputs`, so an input the
     channel does not read never splits the cache.
+    :func:`repro.traces.workloads.link_traces` seeds link ``i`` at
+    ``seed + i``, so link ``i`` of a pool seeded ``s`` is the link
+    seeded ``s + i``, and pools of 2 and 4 links share their first two.
     """
-    return link_traces(channel, n_links, seed, duration, mean_snr_db,
-                       doppler_hz)
+    return link_traces(channel, 1, seed, duration, mean_snr_db,
+                       doppler_hz)[0]
+
+
+def _pool(channel: str, n_links: int, duration: float,
+          mean_snr_db: Optional[float], doppler_hz: Optional[float],
+          seed: int) -> Tuple[LinkTrace, ...]:
+    """One direction's ``n_links`` traces, each from the pool."""
+    return tuple(_trace_pool(channel, duration, mean_snr_db, doppler_hz,
+                             seed + link) for link in range(n_links))
 
 
 @register_experiment(
@@ -146,6 +171,7 @@ def run_cell(protocol: str = "softrate", channel: str = "static",
 
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
+    check_duration(duration)
     if workload not in ("tcp", "mac"):
         raise ValueError(f"unknown workload {workload!r}; "
                          f"available: ['tcp', 'mac']")
@@ -159,13 +185,12 @@ def run_cell(protocol: str = "softrate", channel: str = "static",
     trace_duration = duration + _TRACE_MARGIN_S
     snr_key, doppler_key = channel_inputs(channel, mean_snr_db,
                                           doppler_hz)
-    uplinks = _trace_pool(channel, pool, trace_duration, snr_key,
-                          doppler_key, trace_seed)
+    uplinks = _pool(channel, pool, trace_duration, snr_key, doppler_key,
+                    trace_seed)
     factory = protocol_factory(protocol, training_trace=uplinks[0])
     if workload == "tcp":
-        downlinks = _trace_pool(channel, pool, trace_duration, snr_key,
-                                doppler_key,
-                                trace_seed + _DOWNLINK_SEED_OFFSET)
+        downlinks = _pool(channel, pool, trace_duration, snr_key,
+                          doppler_key, trace_seed + _DOWNLINK_SEED_OFFSET)
         result = run_tcp_uplink(
             uplinks, downlinks, factory,
             n_clients=n_clients, duration=duration, seed=seed,

@@ -19,6 +19,7 @@ from repro.analysis.metrics import RateAccuracy, rate_selection_accuracy
 from repro.experiments.api import register_experiment
 from repro.experiments.common import (averaged_tcp_throughput,
                                       standard_algorithms)
+from repro.sim.topology import check_duration
 from repro.traces.format import LinkTrace
 from repro.traces.workloads import downlink_seed, link_traces
 
@@ -73,6 +74,7 @@ def run_fig13(client_counts: Sequence[int] = (1, 2, 3, 4, 5),
             the SNR trajectory (see :mod:`repro.phy.backend`; the
             omniscient baseline still reads the precomputed trace).
     """
+    check_duration(duration)
     n_max = max(client_counts)
     if downlink_traces is None:
         downlink_traces = link_traces(

@@ -25,6 +25,7 @@ from repro.experiments.common import (averaged_tcp_throughput,
                                       samplerate_factory,
                                       snr_trained_factory,
                                       softrate_factory)
+from repro.sim.topology import check_duration
 from repro.traces.workloads import link_traces
 
 __all__ = ["FastFadingResult", "run_fig16"]
@@ -77,6 +78,7 @@ def run_fig16(coherence_times: Sequence[float] = (1e-3, 500e-6, 200e-6,
     precomputed trace, so under a backend it is a strong heuristic
     rather than a true oracle — normalized values may exceed 1.0.
     """
+    check_duration(duration)
     walking = link_traces("walking", 1, trace_seed, 10.0)[0]
     algorithms = [
         ("SoftRate", softrate_factory),

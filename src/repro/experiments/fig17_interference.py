@@ -26,6 +26,7 @@ from repro.experiments.api import register_experiment
 from repro.experiments.common import (averaged_tcp_throughput,
                                       rraa_factory, samplerate_factory,
                                       softrate_factory)
+from repro.sim.topology import check_duration
 from repro.traces.workloads import downlink_seed, link_traces
 
 __all__ = ["InterferenceTcpResult", "run_fig17"]
@@ -64,6 +65,7 @@ def run_fig17(cs_probabilities: Sequence[float] = (0.0, 0.4, 0.8, 1.0),
               trace_seed: int = 17, accuracy_cs: float = 0.8,
               mean_snr_db: float = 16.0) -> InterferenceTcpResult:
     """Run the interference-dominated TCP experiment."""
+    check_duration(duration)
     down_seed = downlink_seed(trace_seed, n_clients)
     up = link_traces("static", n_clients, trace_seed, 10.0, mean_snr_db)
     down = link_traces("static", n_clients, down_seed, 10.0, mean_snr_db)

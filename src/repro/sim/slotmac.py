@@ -47,7 +47,7 @@ from repro.rateadapt.base import RateAdapter
 from repro.sim.mac import FrameLogEntry, MacConfig
 from repro.sim.topology import (AP_ID, MacContentionResult,
                                 _build_wireless_channel, _station_rng,
-                                make_airtime_fn)
+                                check_duration, make_airtime_fn)
 from repro.sim.wireless import MacFrame, Transmission, WirelessChannel
 from repro.traces.format import LinkTrace
 
@@ -270,9 +270,7 @@ def run_slot_contention(uplink_traces: Sequence[LinkTrace],
         raise ValueError("need at least one client")
     if not uplink_traces:
         raise ValueError("need at least one uplink trace")
-    if not 0 < duration < np.inf:
-        raise ValueError(f"duration must be positive and finite, got "
-                         f"{duration!r}")
+    check_duration(duration)
     if carrier_sense_prob != 1.0:
         raise ValueError(
             "the slot-synchronous engine models perfect carrier sense "

@@ -27,8 +27,8 @@ from repro.sim.wired import PointToPointLink
 from repro.sim.wireless import WirelessChannel
 from repro.traces.format import LinkTrace
 
-__all__ = ["AccessPointNetwork", "TcpUplinkResult", "run_tcp_uplink",
-           "make_airtime_fn", "MacContentionResult",
+__all__ = ["AccessPointNetwork", "TcpUplinkResult", "check_duration",
+           "run_tcp_uplink", "make_airtime_fn", "MacContentionResult",
            "run_mac_contention"]
 
 AP_ID = 0
@@ -249,9 +249,7 @@ class AccessPointNetwork:
 
     def run(self, duration: float) -> TcpUplinkResult:
         """Start all flows and simulate for ``duration`` seconds."""
-        if not 0 < duration < np.inf:
-            raise ValueError(f"duration must be positive and finite, "
-                             f"got {duration!r}")
+        check_duration(duration)
         for sender in self._senders.values():
             sender.start()
         self.sim.run_until(duration)
@@ -262,6 +260,21 @@ class AccessPointNetwork:
                                frame_logs=logs,
                                channel_stats=dict(self.channel.stats),
                                traces=self.traces)
+
+
+def check_duration(duration: float) -> None:
+    """Reject a simulated ``duration`` that is not positive and finite.
+
+    The simulations here call it before they run; the experiments
+    built on them call it first, so a bad duration costs no trace
+    generation.
+
+    Raises:
+        ValueError: ``duration`` is zero, negative, NaN or infinite.
+    """
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got "
+                         f"{duration!r}")
 
 
 def run_tcp_uplink(uplink_traces: Sequence[LinkTrace],
@@ -337,9 +350,7 @@ def run_mac_contention(uplink_traces: Sequence[LinkTrace],
         raise ValueError("need at least one client")
     if not uplink_traces:
         raise ValueError("need at least one uplink trace")
-    if not 0 < duration < np.inf:
-        raise ValueError(f"duration must be positive and finite, got "
-                         f"{duration!r}")
+    check_duration(duration)
     rate_table = rates if rates is not None \
         else RATE_TABLE.prototype_subset()
     sim = Simulator()

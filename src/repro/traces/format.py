@@ -9,18 +9,45 @@ Consistency across rates is guaranteed by construction: all rates are
 evaluated against the *same* fading realisation, mirroring the paper's
 round-robin trace collection ("the channel is fairly invariant across
 all the bit rates in a 5 ms snapshot").
+
+A trace has two kinds of column.  The per-slot ones (``snr_db``,
+``true_snr_db``, ``detected``) are all a simulation on a PHY backend
+reads.  The per-rate ones (``ber_true``, ``ber_est``, ``delivered``,
+``loss_prob``) hold the precomputed fates; a generated trace computes
+them on the first read of any of them, by replaying the random draws
+its generator made (see
+:func:`repro.traces.generate.generate_fading_trace`), so a trace read
+only through its SNR never pays for the analytic model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.mix import uniform01
 
 __all__ = ["FrameObservation", "LinkTrace"]
+
+#: The ``(n_rates, n_slots)`` columns, in ``fill()`` order.
+_RATE_COLUMNS = ("ber_true", "ber_est", "delivered", "loss_prob")
+#: Every array column of a trace.
+_ARRAYS = ("snr_db", "detected", "true_snr_db") + _RATE_COLUMNS
+
+
+def _check_shapes(checks: Iterable[Tuple[str, np.ndarray, tuple]]) -> None:
+    for name, arr, shape in checks:
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, "
+                             f"expected {shape}")
+
+
+def _check_finite(columns) -> None:
+    for name, arr in columns:
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds non-finite values")
 
 
 @dataclass(frozen=True)
@@ -68,6 +95,13 @@ class LinkTrace:
     ``loss_prob`` must lie in [0, 1]; a bad column raises
     ``ValueError`` naming it.
 
+    A trace from :func:`repro.traces.generate.generate_fading_trace`
+    computes its per-rate columns (``ber_true``, ``ber_est``,
+    ``delivered``, ``loss_prob``) on the first read of any of them,
+    validates them then and keeps them.  Nothing else reads them:
+    the per-slot columns, ``n_rates``, ``n_slots``, ``duration``,
+    ``rate_names``, :meth:`slot_at` and :meth:`read_only` do not.
+
     Lookups past the end of the trace wrap around, so a short trace can
     drive an arbitrarily long simulation (the standard trace-driven
     simulation convention).
@@ -79,75 +113,119 @@ class LinkTrace:
                  rate_names: Optional[List[str]] = None,
                  loss_prob: Optional[np.ndarray] = None,
                  true_snr_db: Optional[np.ndarray] = None):
+        ber_true = np.asarray(ber_true, dtype=np.float64)
+        n_rates, n_slots = ber_true.shape
+        self._init_slots(slot_duration, snr_db, detected, true_snr_db,
+                         rate_names, n_rates, n_slots)
+        self._set_rate_columns(ber_true, ber_est, delivered, loss_prob)
+
+    @classmethod
+    def _deferred(cls, slot_duration: float, snr_db: np.ndarray,
+                  detected: np.ndarray, true_snr_db: np.ndarray,
+                  rate_names: List[str],
+                  fill: Callable[[], Tuple[np.ndarray, ...]]
+                  ) -> "LinkTrace":
+        """A trace whose per-rate columns ``fill()`` computes on their
+        first read, as ``(ber_true, ber_est, delivered, loss_prob)``;
+        ``fill`` is dropped once they pass validation."""
+        trace = cls.__new__(cls)
+        trace._init_slots(slot_duration, snr_db, detected, true_snr_db,
+                          rate_names, len(rate_names), len(snr_db))
+        trace._fill = fill
+        return trace
+
+    def _init_slots(self, slot_duration, snr_db, detected, true_snr_db,
+                    rate_names, n_rates: int, n_slots: int) -> None:
         if not 0 < slot_duration < np.inf:
             raise ValueError(f"slot_duration must be positive and "
                              f"finite, got {slot_duration!r}")
+        if n_slots == 0:
+            raise ValueError("trace must have at least one slot")
         snr_db = np.asarray(snr_db, dtype=np.float64)
         detected = np.asarray(detected, dtype=bool)
+        if true_snr_db is not None:
+            true_snr_db = np.asarray(true_snr_db, dtype=np.float64)
+        _check_shapes(((name, arr, (n_slots,)) for name, arr in (
+            ("snr_db", snr_db), ("detected", detected),
+            ("true_snr_db", true_snr_db)) if arr is not None))
+        _check_finite((("snr_db", snr_db), ("true_snr_db", true_snr_db)))
+        self.slot_duration = slot_duration
+        self.snr_db = snr_db
+        self.detected = detected
+        self.true_snr_db = true_snr_db
+        self.rate_names = rate_names or [f"rate{i}" for i in range(n_rates)]
+        self._n_rates = n_rates
+        self._writeable = True
+
+    def _set_rate_columns(self, ber_true, ber_est, delivered,
+                          loss_prob) -> None:
+        shape = (self._n_rates, self.n_slots)
         ber_true = np.asarray(ber_true, dtype=np.float64)
         ber_est = np.asarray(ber_est, dtype=np.float64)
         delivered = np.asarray(delivered, dtype=bool)
-        n_rates, n_slots = ber_true.shape
-        if n_slots == 0:
-            raise ValueError("trace must have at least one slot")
         if loss_prob is None:
             # Degenerate traces (synthetic): the slot outcome is the
             # outcome of every attempt in the slot.
             loss_prob = 1.0 - delivered.astype(np.float64)
         loss_prob = np.asarray(loss_prob, dtype=np.float64)
-        if true_snr_db is not None:
-            true_snr_db = np.asarray(true_snr_db, dtype=np.float64)
-        checks = [
-            ("snr_db", snr_db, (n_slots,)),
-            ("detected", detected, (n_slots,)),
-            ("ber_est", ber_est, (n_rates, n_slots)),
-            ("delivered", delivered, (n_rates, n_slots)),
-            ("loss_prob", loss_prob, (n_rates, n_slots)),
-        ]
-        if true_snr_db is not None:
-            checks.append(("true_snr_db", true_snr_db, (n_slots,)))
-        for name, arr, shape in checks:
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, "
-                                 f"expected {shape}")
-        for name, arr in (("snr_db", snr_db), ("true_snr_db", true_snr_db),
-                          ("ber_true", ber_true), ("ber_est", ber_est),
-                          ("loss_prob", loss_prob)):
-            if arr is not None and not np.isfinite(arr).all():
-                raise ValueError(f"{name} holds non-finite values")
+        _check_shapes((("ber_true", ber_true, shape),
+                       ("ber_est", ber_est, shape),
+                       ("delivered", delivered, shape),
+                       ("loss_prob", loss_prob, shape)))
+        _check_finite((("ber_true", ber_true), ("ber_est", ber_est),
+                       ("loss_prob", loss_prob)))
         if np.any((loss_prob < 0) | (loss_prob > 1)):
             raise ValueError("loss probabilities must lie in [0, 1]")
-        self.slot_duration = slot_duration
-        self.snr_db = snr_db
-        self.detected = detected
+        if not self._writeable:
+            for arr in (ber_true, ber_est, delivered, loss_prob):
+                arr.flags.writeable = False
         self.ber_true = ber_true
         self.ber_est = ber_est
         self.delivered = delivered
         self.loss_prob = loss_prob
-        self.true_snr_db = true_snr_db
-        self.rate_names = rate_names or [f"rate{i}" for i in range(n_rates)]
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: on a deferred trace,
+        # that is the first read of a per-rate column.
+        if name in _RATE_COLUMNS and "_fill" in self.__dict__:
+            self._fill_rate_columns()
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no "
+                             f"attribute {name!r}")
+
+    def _fill_rate_columns(self) -> None:
+        self._set_rate_columns(*self._fill())
+        del self._fill
+
+    def __getstate__(self):
+        # A copy or a pickle carries the columns, not the deferred
+        # inputs.
+        if "_fill" in self.__dict__:
+            self._fill_rate_columns()
+        return self.__dict__
 
     def read_only(self) -> "LinkTrace":
         """Make every array of this trace non-writeable; returns it.
 
         For traces handed to many users, such as the campaign cell's
         trace pool: a write then raises instead of changing what the
-        other users see.
+        other users see.  Per-rate columns not computed yet come out
+        read-only when they are.
         """
-        for arr in (self.snr_db, self.detected, self.ber_true,
-                    self.ber_est, self.delivered, self.loss_prob,
-                    self.true_snr_db):
+        self._writeable = False
+        for name in _ARRAYS:
+            arr = self.__dict__.get(name)
             if arr is not None:
                 arr.flags.writeable = False
         return self
 
     @property
     def n_rates(self) -> int:
-        return self.ber_true.shape[0]
+        return self._n_rates
 
     @property
     def n_slots(self) -> int:
-        return self.ber_true.shape[1]
+        return self.snr_db.shape[0]
 
     @property
     def duration(self) -> float:

@@ -12,7 +12,10 @@ Two generators are provided:
   estimate with the estimation noise measured in Fig. 7 (sub-0.1
   orders of magnitude).  One Python loop makes the random draws slot
   by slot; everything else is evaluated on ``(slots, samples)``
-  arrays.
+  arrays.  The call makes every draw and computes the per-slot SNR
+  columns; the per-rate columns wait for their first read, which
+  replays the draws from a copy of the generator (the draw contract
+  and the replay are on the function).
 
 * :func:`generate_full_phy_trace` — bit-exact: actually transmits and
   decodes a frame per (slot, rate) through
@@ -22,6 +25,7 @@ Two generators are provided:
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,7 +92,8 @@ def generate_fading_trace(
         mean_snr_db: large-scale (fading-averaged) SNR as a function of
             time — a constant for static links, or e.g.
             ``WalkingTrajectory.mean_snr_db`` for mobility.  Called
-            once per slot, in slot order, at the slot start.
+            once per slot, in slot order, at the slot start; it must
+            not draw from ``rng``.
         doppler_hz: Doppler spread of the small-scale fading.
         slot_duration: trace granularity (5 ms like the paper).
         payload_bits: frame payload used to size frames (1400 bytes by
@@ -114,6 +119,18 @@ def generate_fading_trace(
     (only when ``snr_jitter_db > 0``), the BER-estimate noise
     ``rng.normal(0, 0.1)`` in decades, and the delivery uniform
     ``rng.random()``.  No draw depends on a computed value.
+
+    Every draw happens in this call, so ``rng`` ends in the same state
+    whether or not the trace is ever read, but only the per-slot
+    columns (``snr_db``, ``true_snr_db``, ``detected``) are computed
+    here.  The per-rate columns (``ber_true``, ``ber_est``,
+    ``delivered``, ``loss_prob``) are computed on the trace's first
+    read of any of them: the trace keeps a copy of ``rng`` as it stood
+    before the first slot's draws, the fading process and each slot's
+    mean SNR, replays the draws from that copy and evaluates the
+    analytic model, then drops what it kept.  A trace read only
+    through its SNR columns, as by a simulation on a PHY backend,
+    never evaluates the analytic model.
     """
     if not 0 < duration < np.inf:
         raise ValueError(f"duration must be positive and finite, got "
@@ -122,36 +139,18 @@ def generate_fading_trace(
     fading = RayleighFadingProcess(doppler_hz, rng)
     n_slots = max(1, int(round(duration / slot_duration)))
     n_rates = len(rates)
-    n_info = payload_bits + 32
+    rng_at_start = copy.deepcopy(rng)
 
-    ber_true = np.empty((n_rates, n_slots))
-    ber_est = np.empty((n_rates, n_slots))
-    delivered = np.zeros((n_rates, n_slots), dtype=bool)
-    loss_prob = np.zeros((n_rates, n_slots))
-    snr_db = np.empty(n_slots)
-    true_snr_db = np.empty(n_slots)
-    detected = np.zeros(n_slots, dtype=bool)
-
-    ceiling = db_to_linear(snr_ceiling_db)
-    # Sample offsets across each rate's frame airtime.
-    offsets = [np.linspace(0.0, rate.airtime(n_info, mode.symbol_time,
-                                             mode.n_subcarriers),
-                           n_symbol_samples)
-               for rate in rates]
-    for first in range(0, n_slots, _SLOT_BLOCK):
-        block = range(first, min(first + _SLOT_BLOCK, n_slots))
-        cols = slice(block.start, block.stop)
-        n = len(block)
-        # The draw loop: every random draw, in the contract's order.
+    def draw_block(rng, cols):
+        # Every draw of the slots ``cols``, in the contract's order.
         # The estimate-noise pow stays a Python float pow, as numpy's
         # vectorised pow rounds differently.
-        mean_lin = np.empty(n)
+        n = cols.stop - cols.start
         snr_noise = np.empty(n)
         jitter = np.empty((n_rates, n, n_symbol_samples))
         est_scale = np.empty((n_rates, n))
         uniform = np.empty((n_rates, n))
-        for i, slot in enumerate(block):
-            mean_lin[i] = db_to_linear(mean_snr_db(slot * slot_duration))
+        for i in range(n):
             snr_noise[i] = rng.normal(0, _SNR_ESTIMATE_NOISE_DB)
             for r in range(n_rates):
                 if snr_jitter_db > 0:
@@ -160,39 +159,63 @@ def generate_fading_trace(
                 est_scale[r, i] = \
                     10.0 ** rng.normal(0.0, BER_ESTIMATE_NOISE_DECADES)
                 uniform[r, i] = rng.random()
+        return snr_noise, jitter, est_scale, uniform
 
-        t0 = np.arange(block.start, block.stop) * slot_duration
+    blocks = [slice(first, min(first + _SLOT_BLOCK, n_slots))
+              for first in range(0, n_slots, _SLOT_BLOCK)]
+    mean_lin = np.empty(n_slots)
+    snr_db = np.empty(n_slots)
+    true_snr_db = np.empty(n_slots)
+    for cols in blocks:
+        for slot in range(cols.start, cols.stop):
+            mean_lin[slot] = db_to_linear(mean_snr_db(slot * slot_duration))
+        snr_noise = draw_block(rng, cols)[0]
         # Preamble SNR: instantaneous fade at each frame start.  Its
         # power is a libm pow per slot, as for a numpy scalar; the
         # array ``** 2`` squares, which rounds differently.
+        t0 = np.arange(cols.start, cols.stop) * slot_duration
         fade = [amp ** 2 for amp in np.abs(fading.gains(t0)).tolist()]
-        inst_snr_db = snr_to_db(mean_lin * np.array(fade))
-        detected[cols] = inst_snr_db >= DETECTION_SNR_DB
-        true_snr_db[cols] = inst_snr_db
-        snr_db[cols] = inst_snr_db + snr_noise
+        true_snr_db[cols] = snr_to_db(mean_lin[cols] * np.array(fade))
+        snr_db[cols] = true_snr_db[cols] + snr_noise
 
-        for r, rate in enumerate(rates):
-            times = t0[:, None] + offsets[r]
-            gains = fading.gains(times.ravel()).reshape(times.shape)
-            symbol_snrs = mean_lin[:, None] * np.abs(gains) ** 2
-            # Receiver impairments: error floor + estimation jitter.
-            symbol_snrs = 1.0 / (1.0 / np.maximum(symbol_snrs, 1e-12)
-                                 + 1.0 / ceiling)
-            if snr_jitter_db > 0:
-                symbol_snrs = symbol_snrs * 10.0 ** (jitter[r] / 10.0)
-            symbol_bers = coded_ber(rate, symbol_snrs)
-            ber = np.mean(symbol_bers, axis=-1)
-            ber_true[r, cols] = ber
-            ber_est[r, cols] = np.minimum(
-                0.5, np.maximum(1e-12, ber) * est_scale[r])
-            loss_prob[r, cols] = loss_probability(symbol_bers, n_info)
-            delivered[r, cols] = uniform[r] >= loss_prob[r, cols]
+    def rate_columns():
+        replay = copy.deepcopy(rng_at_start)
+        n_info = payload_bits + 32
+        ceiling = db_to_linear(snr_ceiling_db)
+        # Sample offsets across each rate's frame airtime.
+        offsets = [np.linspace(0.0, rate.airtime(n_info, mode.symbol_time,
+                                                 mode.n_subcarriers),
+                               n_symbol_samples)
+                   for rate in rates]
+        ber_true = np.empty((n_rates, n_slots))
+        ber_est = np.empty((n_rates, n_slots))
+        delivered = np.zeros((n_rates, n_slots), dtype=bool)
+        loss_prob = np.zeros((n_rates, n_slots))
+        for cols in blocks:
+            _, jitter, est_scale, uniform = draw_block(replay, cols)
+            t0 = np.arange(cols.start, cols.stop) * slot_duration
+            for r, rate in enumerate(rates):
+                times = t0[:, None] + offsets[r]
+                gains = fading.gains(times.ravel()).reshape(times.shape)
+                symbol_snrs = mean_lin[cols, None] * np.abs(gains) ** 2
+                # Receiver impairments: error floor + estimation jitter.
+                symbol_snrs = 1.0 / (1.0 / np.maximum(symbol_snrs, 1e-12)
+                                     + 1.0 / ceiling)
+                if snr_jitter_db > 0:
+                    symbol_snrs = symbol_snrs * 10.0 ** (jitter[r] / 10.0)
+                symbol_bers = coded_ber(rate, symbol_snrs)
+                ber = np.mean(symbol_bers, axis=-1)
+                ber_true[r, cols] = ber
+                ber_est[r, cols] = np.minimum(
+                    0.5, np.maximum(1e-12, ber) * est_scale[r])
+                loss_prob[r, cols] = loss_probability(symbol_bers, n_info)
+                delivered[r, cols] = uniform[r] >= loss_prob[r, cols]
+        return ber_true, ber_est, delivered, loss_prob
 
-    return LinkTrace(slot_duration=slot_duration, snr_db=snr_db,
-                     detected=detected, ber_true=ber_true,
-                     ber_est=ber_est, delivered=delivered,
-                     loss_prob=loss_prob, rate_names=rates.names(),
-                     true_snr_db=true_snr_db)
+    return LinkTrace._deferred(
+        slot_duration=slot_duration, snr_db=snr_db,
+        detected=true_snr_db >= DETECTION_SNR_DB, true_snr_db=true_snr_db,
+        rate_names=rates.names(), fill=rate_columns)
 
 
 def generate_full_phy_trace(

@@ -7,7 +7,8 @@ import pytest
 from repro.experiments import cell
 from repro.experiments.api import get_experiment, run
 from repro.experiments.cell import run_cell
-from repro.traces.workloads import CHANNELS as CHANNEL_MODELS
+from repro.traces import generate
+from repro.traces.workloads import CHANNELS as CHANNEL_MODELS, link_traces
 
 _FAST = dict(duration=0.05, n_clients=1, trace_pool=1)
 
@@ -129,14 +130,68 @@ class TestTracePool:
 
     @pytest.mark.parametrize("channel", CHANNEL_MODELS)
     def test_pooled_traces_are_read_only(self, channel):
-        traces = cell._trace_pool(channel, 2, 0.05, 16.0, 200.0, 2009)
-        for trace in traces:
+        """All seven arrays, the per-rate columns included, which the
+        pool's traces compute only on their first read."""
+        trace = cell._trace_pool(channel, 0.05, 16.0, 200.0, 2009)
+        for name in ("snr_db", "true_snr_db", "detected", "ber_true",
+                     "ber_est", "delivered", "loss_prob"):
+            array = getattr(trace, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+    def test_pools_share_links_across_client_counts(self, monkeypatch):
+        """Link ``i`` of a pool seeded ``s`` is the link seeded
+        ``s + i``, so a 4-client cell after a 2-client one on the same
+        inputs generates only its last two links per direction and
+        simulates over the first cell's trace objects."""
+        seen = []
+        original = cell.run_tcp_uplink
+
+        def recording(uplinks, downlinks, *args, **kwargs):
+            seen.append((uplinks, downlinks))
+            return original(uplinks, downlinks, *args, **kwargs)
+
+        monkeypatch.setattr(cell, "run_tcp_uplink", recording)
+        kwargs = dict(channel="fading", duration=0.05, trace_pool=0)
+        run_cell(n_clients=2, **kwargs)
+        assert self._misses() == 4
+        run_cell(n_clients=4, **kwargs)
+        assert self._misses() == 8
+        (up2, down2), (up4, down4) = seen
+        assert len(up4) == len(down4) == 4
+        assert all(a is b for a, b in zip(up2 + down2,
+                                          up4[:2] + down4[:2]))
+
+    def test_a_link_is_the_pool_link_at_its_seed(self):
+        """The per-link key reproduces the old per-pool generation
+        byte for byte."""
+        pool = link_traces("walking", 3, 2009, 0.05)
+        for link, want in enumerate(pool):
+            got = cell._trace_pool("walking", 0.05, None, None,
+                                   2009 + link)
             for name in ("snr_db", "true_snr_db", "detected",
                          "ber_true", "ber_est", "delivered",
                          "loss_prob"):
-                array = getattr(trace, name)
-                with pytest.raises(ValueError, match="read-only"):
-                    array[(0,) * array.ndim] = array[(0,) * array.ndim]
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes(), name
+
+    def test_surrogate_cell_fills_the_first_uplink_only(self,
+                                                        monkeypatch):
+        """On a PHY backend the cell reads the per-rate columns of its
+        first uplink alone (rate-selection accuracy)."""
+        filled = []
+        original = generate.coded_ber
+
+        def counting(rate, snrs):
+            filled.append(rate)
+            return original(rate, snrs)
+
+        monkeypatch.setattr(generate, "coded_ber", counting)
+        run_cell(channel="fading", duration=0.05, n_clients=3,
+                 trace_pool=0)
+        assert self._misses() == 6
+        # One trace's columns: one coded_ber call per rate per block.
+        assert len(filled) == 6
 
 
 class TestMacWorkload:

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.cli import _parse_values, main
 from repro.experiments.api import register_experiment
+from repro.traces import workloads
 
 
 @register_experiment(
@@ -312,14 +313,23 @@ class TestOutOfRangeInputs:
         ["run", "cell", "--set", "duration=0", "--no-cache"],
         ["run", "fig13", "--set", "duration=0",
          "--set", "client_counts=(1,)", "--no-cache"],
+        ["run", "fig16", "--set", "duration=0", "--no-cache"],
+        ["run", "fig17", "--set", "duration=-1", "--no-cache"],
     ])
-    def test_exits_2_with_one_error_line(self, argv):
+    def test_exits_2_with_one_error_line(self, argv, monkeypatch):
+        def generated(*_args, **_kwargs):
+            raise AssertionError("a trace was generated")
+
+        # A bad duration is refused before any trace is generated.
+        monkeypatch.setattr(workloads, "generate_fading_trace",
+                            generated)
         code, _out, err = _cli(argv)
         assert code == 2, err
         _assert_clean_exit(code, err)
         if argv[0] == "run":
             # A ValueError is a rejected parameterization: not retried.
             assert "after 1 attempt(s)" in err, err
+            assert "duration must be positive and finite" in err, err
 
     @pytest.mark.parametrize("flags", [
         ["--duration=0"], ["--duration=nan"], ["--doppler=-5"],

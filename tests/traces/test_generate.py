@@ -1,9 +1,14 @@
 """Tests for trace generation (analytic and full-PHY paths)."""
 
+import gc
 import importlib
+import itertools
 import json
 import os
+import pickle
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,11 +19,13 @@ from repro.channel.rayleigh import RayleighFadingProcess
 from repro.phy.backend import DETECTION_SNR_DB
 from repro.phy.rates import MODES, RATE_TABLE
 from repro.phy.snr import db_to_linear, snr_to_db
+from repro.traces import generate as generate_module
 from repro.traces.analytic import coded_ber, frame_loss_probability
 from repro.traces.generate import (BER_ESTIMATE_NOISE_DECADES,
                                    _SNR_ESTIMATE_NOISE_DB,
                                    generate_fading_trace,
                                    generate_full_phy_trace)
+from repro.traces.workloads import link_traces
 
 
 class TestFadingTrace:
@@ -234,3 +241,137 @@ def test_matches_the_scalar_loop(seed, n_slots, slot_duration, walking,
         assert got[name].dtype == want[name].dtype, name
         assert got[name].tobytes() == want[name].tobytes(), name
     assert got_state == want_state
+
+
+_RATE_COLUMNS = ("ber_true", "ber_est", "delivered", "loss_prob")
+_DEFERRED = dict(duration=0.3, doppler_hz=40.0)
+
+
+def _deferred_trace():
+    rng = np.random.default_rng(5)
+    return generate_fading_trace(
+        rng, mean_snr_db=WalkingTrajectory(rng).mean_snr_db, **_DEFERRED)
+
+
+@pytest.fixture
+def coded_ber_calls(monkeypatch):
+    """Counts the analytic model's evaluations during the test."""
+    calls = []
+    original = generate_module.coded_ber
+
+    def counting(rate, snrs):
+        calls.append(rate)
+        return original(rate, snrs)
+
+    monkeypatch.setattr(generate_module, "coded_ber", counting)
+    return calls
+
+
+class TestDeferredColumns:
+    """A generated trace computes its per-rate columns on first read."""
+
+    @pytest.fixture(scope="class")
+    def eager(self):
+        """The arrays of the per-(slot, rate) reference loop."""
+        rng = np.random.default_rng(5)
+        return _scalar_fading_trace(
+            rng, mean_snr_db=WalkingTrajectory(rng).mean_snr_db,
+            slot_duration=5e-3, payload_bits=11200,
+            rates=RATE_TABLE.prototype_subset(), mode=MODES["simulation"],
+            n_symbol_samples=32, snr_ceiling_db=23.0, snr_jitter_db=1.5,
+            **_DEFERRED)
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(_RATE_COLUMNS)),
+        ids=lambda order: "-".join(order))
+    def test_first_read_fills_all_four(self, order, eager,
+                                       coded_ber_calls):
+        trace = _deferred_trace()
+        assert coded_ber_calls == []
+        getattr(trace, order[0])
+        filled = len(coded_ber_calls)
+        assert filled == trace.n_rates      # one block of 60 slots
+        for name in order:
+            got = getattr(trace, name)
+            assert got.dtype == eager[name].dtype, name
+            assert got.tobytes() == eager[name].tobytes(), name
+        assert len(coded_ber_calls) == filled
+
+    def test_other_reads_fill_nothing(self, coded_ber_calls):
+        trace = _deferred_trace()
+        assert trace.n_rates == 6 and trace.n_slots == 60
+        assert trace.duration == pytest.approx(0.3)
+        assert len(trace.rate_names) == 6
+        assert trace.slot_at(0.2) == 40
+        for name in ("snr_db", "true_snr_db", "detected"):
+            assert getattr(trace, name).shape == (60,)
+        assert trace.read_only() is trace
+        assert not hasattr(trace, "no_such_column")
+        assert coded_ber_calls == []
+
+    def test_read_only_before_filling_covers_every_array(self):
+        trace = _deferred_trace().read_only()
+        for name in ("snr_db", "true_snr_db", "detected") + _RATE_COLUMNS:
+            array = getattr(trace, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+    def test_a_bad_column_raises_at_first_read(self, monkeypatch):
+        monkeypatch.setattr(generate_module, "coded_ber",
+                            lambda rate, snrs: np.full(np.shape(snrs),
+                                                       np.nan))
+        trace = _deferred_trace()           # generation itself passes
+        for _ in range(2):                  # and every read raises
+            with pytest.raises(ValueError, match="ber_true"):
+                trace.delivered
+
+    def test_a_pickle_carries_the_columns(self):
+        trace = _deferred_trace()
+        back = pickle.loads(pickle.dumps(trace))
+        for name in _RATE_COLUMNS:
+            assert getattr(back, name).tobytes() == \
+                getattr(trace, name).tobytes()
+
+
+class TestDeferredMemory:
+    """An unread trace holds no more than an eager one did, and a read
+    one keeps none of what it deferred."""
+
+    @staticmethod
+    def _retained(make):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = make()
+            gc.collect()
+            return kept, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_an_unread_walking_trace_holds_less_than_an_eager_one(self):
+        link_traces("walking", 1, 3, 0.05)          # warm module caches
+        trace, retained = self._retained(
+            lambda: link_traces("walking", 1, 7, 10.0)[0])
+        n_rates, n_slots = trace.n_rates, trace.n_slots
+        eager_bytes = n_rates * n_slots * (8 + 8 + 1 + 8) \
+            + n_slots * (8 + 8 + 1)
+        assert eager_bytes == 334_000
+        assert retained <= eager_bytes, retained
+
+    def test_a_read_trace_releases_the_deferred_inputs(self, monkeypatch):
+        processes = weakref.WeakSet()
+
+        class Recorded(RayleighFadingProcess):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                processes.add(self)
+
+        monkeypatch.setattr(generate_module, "RayleighFadingProcess",
+                            Recorded)
+        trace = _deferred_trace()
+        gc.collect()
+        assert len(processes) == 1          # kept for the first read
+        trace.loss_prob
+        gc.collect()
+        assert len(processes) == 0
