@@ -1,14 +1,16 @@
-"""Throughput benchmark: batched PHY fast path vs per-frame reference.
+"""Throughput benchmark: a 64-frame batched decode vs one frame at a
+time.
 
 Decodes the same stack of fig07-style frames (1600-bit payloads, QPSK
 3/4, AWGN across the waterfall region) twice — once frame-by-frame
-through ``Transceiver.receive`` and once through the batched
-``receive_batch`` — and reports frames/sec for both.  The batched path
-must be bit-identical (spot-checked here, exhaustively checked in
-``tests/phy/test_batch.py``) and at least 2x faster on a 64-frame
-batch: the point of batching is that the Python-level trellis loops
-run once per batch instead of once per frame, and a batch that
-degenerates into a per-frame loop (~1x) fails.  The floor was 3x
+through ``Transceiver.receive``, which is the batch path on one-frame
+stacks, and once through the batched ``receive_batch`` — and reports
+frames/sec for both.  The two must be bit-identical (spot-checked
+here; both are checked against the scalar reference decoder in
+``tests/phy/test_batch.py``) and the batch at least 2x faster on a
+64-frame batch: the point of batching is that the Python-level
+trellis loops run once per batch instead of once per frame, and a
+batch that degenerates into a per-frame loop (~1x) fails.  The floor was 3x
 until the BCJR kernel became one butterfly strategy: that made both
 paths faster, the per-frame one (the ratio's denominator) about 2.5x
 and the batched one about 1.3-1.5x, because a 64-frame decode is

@@ -122,10 +122,13 @@ def _best_of(repeats: int, fn: Callable) -> float:
 def measure_phy(config: Optional[dict] = None) -> Dict[str, float]:
     """Measure PHY frames/sec: scalar vs batched vs surrogate.
 
-    The scalar and batched paths BCJR-decode the same stack of frames
-    (bit-identical outputs, asserted elsewhere); the surrogate
-    synthesizes outcomes for the same rate/SNR region.  Returns the
-    three absolute rates plus the two speedup ratios that get gated.
+    "Scalar" decodes the stack one frame at a time through
+    ``Transceiver.receive``, the batch path at one frame; "batched"
+    decodes it in one ``receive_batch`` call (bit-identical outputs,
+    asserted elsewhere).  So ``batched_speedup`` is what stacking
+    frames buys.  The surrogate synthesizes outcomes for the same
+    rate/SNR region.  Returns the three absolute rates plus the two
+    speedup ratios that get gated.
     """
     from repro.channel.awgn import apply_channel
     from repro.phy.backend import get_backend

@@ -53,6 +53,7 @@ import argparse
 import ast
 import io
 import itertools
+import math
 import sys
 import tokenize
 from typing import Any, Dict, List, Optional, Sequence
@@ -72,11 +73,18 @@ _PROTOCOL_CHOICES = ("softrate", "samplerate", "rraa", "snr", "charm",
 
 
 def _parse_value(text: str) -> Any:
-    """``--set``/``--values`` literal: python literal, else string."""
+    """``--set``/``--values`` literal: python literal, else a
+    non-finite float (``nan``, ``inf``, ``-inf``, which are not
+    literals), else string."""
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
+        pass
+    try:
+        number = float(text)
+    except ValueError:
         return text
+    return text if math.isfinite(number) else number
 
 
 def _parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:

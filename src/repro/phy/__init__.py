@@ -9,9 +9,11 @@ GNU Radio prototype of the SoftRate paper (SIGCOMM 2009, section 4):
 * a hard-output Viterbi decoder and a soft-output log-MAP (BCJR)
   decoder whose per-bit log-likelihood ratios are the source of the
   SoftPHY hints used by :mod:`repro.core`,
-* a frame-batched fast path (:mod:`repro.phy.batch`) that pushes a
-  ``(n_frames, ...)`` stack through the same pipeline bit-identically,
-  amortising the Python-level trellis loops across the batch,
+* one frame-batched pipeline (:mod:`repro.phy.batch`) that pushes a
+  ``(n_frames, ...)`` stack through transmit or receive, amortising
+  the Python-level trellis loops across the batch; the per-frame
+  ``Transceiver.transmit``/``receive`` are it at one frame, checked
+  byte for byte against the scalar oracles in the tests,
 * pluggable PHY backends (:mod:`repro.phy.backend`): the bit-exact
   pipeline and a calibrated table-driven surrogate
   (:mod:`repro.phy.calibrate`) behind one frame-outcome contract, so

@@ -1,4 +1,4 @@
-"""Frame-batched PHY fast path.
+"""The frame-batched PHY pipeline.
 
 Every figure of the paper is a Monte Carlo sweep that pushes thousands
 of frames through the PHY; pushed one at a time, the per-frame Python
@@ -11,18 +11,21 @@ receive — using the batched kernels in :mod:`repro.phy.convcode`,
 :mod:`repro.phy.viterbi`, whose per-trellis-step loops advance all
 frames together.
 
-The batched receive path is **bit-identical** to the per-frame
-reference path (:meth:`Transceiver.receive`): it performs exactly the
-same elementwise float operations and last-axis reductions, just with
-a leading frame axis.  :meth:`Transceiver.transmit` is
-:func:`batch_transmit` of a one-frame stack.  The parity suite in
-``tests/phy/test_batch.py`` locks both in against scalar references,
-across all modulations and code rates.
+This is the PHY's only pipeline: :meth:`Transceiver.transmit` and
+:meth:`Transceiver.receive` are :func:`batch_transmit` and
+:func:`batch_receive` of a one-frame stack, so a frame decodes to the
+same bits, LLRs and estimates whatever stack it rides in.  The batched
+kernels perform exactly the same elementwise float operations and
+last-axis reductions as a one-frame-at-a-time pipeline, just with a
+leading frame axis; the parity suite in ``tests/phy/test_batch.py``
+keeps that scalar pipeline as the oracle both directions must match
+byte for byte, across modes, rate tables, codes and every modulation
+and code rate.
 
 Per-frame steps that are cheap C-backed calls (CRC-32, preamble SNR
-estimation, header parsing) intentionally stay scalar loops: they are
-not on the hot path, and reusing the exact scalar code guarantees
-identical floats for the preamble noise estimate.
+estimation, header parsing) intentionally stay loops over the frames:
+they are not on the hot path, and one frame at a time they give
+identical floats for the preamble noise estimate at any stack size.
 
 Entry points: :func:`batch_transmit` / :func:`batch_receive`, or the
 :class:`~repro.phy.transceiver.Transceiver` conveniences
@@ -51,6 +54,9 @@ from repro.phy.viterbi import viterbi_decode_batch
 
 __all__ = ["TxBatch", "batch_transmit", "batch_receive",
            "FRAMES_PER_DECODE"]
+
+#: The 802.11 scrambler's initial state for every frame body.
+_SCRAMBLE_SEED = 0x5D
 
 #: Frames the Monte Carlo sweeps decode per batched call.  It bounds
 #: the BCJR's memory at ``16 * T * F * S`` bytes per call (see
@@ -161,7 +167,7 @@ def batch_transmit(phy, payloads: np.ndarray, rate_index: int,
 
     body_info = np.stack([bitutil.append_crc32(p) for p in payloads])
     if phy.scramble:
-        body_info = bitutil.scramble(body_info, _scramble_seed())
+        body_info = bitutil.scramble(body_info, _SCRAMBLE_SEED)
 
     rate = phy.rates[rate_index]
     base = phy.rates.lowest
@@ -212,7 +218,7 @@ def _decode_block_batch(phy, rx: np.ndarray, gains: np.ndarray,
                         noise_var: np.ndarray, modulation: str,
                         bits_per_symbol: int, code_rate,
                         n_mother_bits: int, pad: int, soft: bool):
-    """Batched analogue of ``Transceiver._decode_block``.
+    """Demap and decode one coded region of every frame.
 
     ``rx`` is ``(n_frames, n_region_symbols * n_subcarriers)`` flat
     received samples; ``noise_var`` is one estimate per frame.
@@ -254,8 +260,12 @@ def batch_receive(phy, rx_symbols: np.ndarray, gains: np.ndarray,
 
     Returns:
         A list of per-frame :class:`~repro.phy.transceiver.RxResult`,
-        bit-identical to calling :meth:`Transceiver.receive` on each
-        frame.
+        bit-identical to calling :meth:`Transceiver.receive` (this
+        function on a one-frame stack) on each frame.
+
+    Raises:
+        ValueError: ``rx_symbols`` or ``gains`` does not match
+            ``layout``, or ``tx`` covers another number of frames.
 
     Example::
 
@@ -319,7 +329,7 @@ def batch_receive(phy, rx_symbols: np.ndarray, gains: np.ndarray,
 
     decoded = body.bits
     if phy.scramble:
-        decoded = bitutil.descramble(decoded, _scramble_seed())
+        decoded = bitutil.descramble(decoded, _SCRAMBLE_SEED)
 
     truth = _truth_rows(tx, n_frames)
     results = []
@@ -352,8 +362,3 @@ def _truth_rows(tx, n_frames: int) -> Optional[np.ndarray]:
     if info.shape[0] != n_frames:
         raise ValueError("ground-truth batch size mismatch")
     return info
-
-
-def _scramble_seed() -> int:
-    from repro.phy.transceiver import _SCRAMBLE_SEED
-    return _SCRAMBLE_SEED

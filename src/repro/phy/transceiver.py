@@ -18,6 +18,10 @@ The receiver's posterior LLRs are exactly the SoftPHY hints consumed by
 preamble only — deliberately, because that is what makes mid-frame
 interference observable as a hint anomaly, and what makes the SNR
 estimate blind to mid-frame fades.
+
+Both directions have one implementation, the frame-batched pipeline of
+:mod:`repro.phy.batch`: :meth:`Transceiver.transmit` and
+:meth:`Transceiver.receive` run it on a one-frame stack.
 """
 
 from __future__ import annotations
@@ -27,21 +31,21 @@ from typing import Optional
 
 import numpy as np
 
-from repro.phy import bits as bitutil
-from repro.phy.bcjr import bcjr_decode
-from repro.phy.convcode import ConvolutionalCode, depuncture
+from repro.phy.batch import batch_receive, batch_transmit
+from repro.phy.convcode import ConvolutionalCode
 from repro.phy.frame import HEADER_BITS, LinkHeader
-from repro.phy.interleaver import deinterleave
-from repro.phy.modulation import CONSTELLATIONS, soft_demap
-from repro.phy.ofdm import (FrameLayout, build_layout, region_symbols,
-                            training_symbols)
+from repro.phy.ofdm import FrameLayout, build_layout, region_symbols
 from repro.phy.rates import MODES, RATE_TABLE, OperatingMode, RateTable
-from repro.phy.snr import estimate_preamble_snr
-from repro.phy.viterbi import viterbi_decode
+
+# Nothing here calls these four: perfbench's per-frame lookup sites
+# (perfbench/layers.py) still resolve them in this module, and a site
+# that does not resolve fails the traced run.  They go with the sites.
+from repro.phy.convcode import depuncture  # noqa: F401
+from repro.phy.interleaver import deinterleave  # noqa: F401
+from repro.phy.modulation import soft_demap  # noqa: F401
+from repro.phy.viterbi import viterbi_decode  # noqa: F401
 
 __all__ = ["Transceiver", "TxFrame", "RxResult"]
-
-_SCRAMBLE_SEED = 0x5D
 
 
 @dataclass
@@ -223,32 +227,13 @@ class Transceiver:
     # Receive path
     # ------------------------------------------------------------------
 
-    def _decode_block(self, rx, gains, noise_var, modulation,
-                      bits_per_symbol, code_rate, n_mother_bits, pad,
-                      soft: bool):
-        """Demap and decode one coded region; returns LLRs or bits."""
-        if gains.ndim == 2:
-            per_sample_gains = gains.ravel()
-        else:
-            per_sample_gains = np.repeat(gains, self.mode.n_subcarriers)
-        channel_llrs = soft_demap(rx.ravel(), modulation, noise_var,
-                                  gains=per_sample_gains)
-        if self.use_interleaver:
-            block = bits_per_symbol * self.mode.n_subcarriers
-            channel_llrs = deinterleave(channel_llrs, block,
-                                        bits_per_symbol)
-        if pad:
-            channel_llrs = channel_llrs[:-pad]
-        mother_llrs = depuncture(channel_llrs, n_mother_bits, code_rate)
-        if soft:
-            return bcjr_decode(self.code, mother_llrs,
-                               variant=self.decoder_variant)
-        return viterbi_decode(self.code, mother_llrs)
-
     def receive(self, rx_symbols: np.ndarray, gains: np.ndarray,
                 layout: FrameLayout,
                 tx_frame: Optional[TxFrame] = None) -> RxResult:
         """Decode a received frame.
+
+        The batched receive path at one frame:
+        :func:`~repro.phy.batch.batch_receive` of a one-frame stack.
 
         Args:
             rx_symbols: received OFDM symbols,
@@ -264,69 +249,15 @@ class Transceiver:
 
         Returns:
             An :class:`RxResult`.
+
+        Raises:
+            ValueError: ``rx_symbols`` or ``gains`` does not match
+                ``layout``.
         """
         rx_symbols = np.asarray(rx_symbols, dtype=np.complex128)
         gains = np.asarray(gains, dtype=np.complex128)
-        if rx_symbols.shape != (layout.n_symbols, layout.n_subcarriers):
-            raise ValueError("received symbol array does not match layout")
-        if gains.ndim == 1:
-            if gains.size != layout.n_symbols:
-                raise ValueError(
-                    "one channel gain per OFDM symbol required")
-        elif gains.shape != rx_symbols.shape:
-            raise ValueError(
-                "2-D gains must match the received symbol array")
-
-        training = training_symbols(layout.n_preamble_symbols,
-                                    layout.n_subcarriers)
-        snr_db, _gain_est = estimate_preamble_snr(
-            rx_symbols[layout.preamble], training)
-        # Preamble-residual noise power; floor it to keep LLRs finite.
-        ref = training.ravel()
-        rx_pre = rx_symbols[layout.preamble].ravel()
-        if gains.ndim == 2:
-            pre_gains = gains[layout.preamble].ravel()
-        else:
-            pre_gains = np.repeat(gains[layout.preamble],
-                                  layout.n_subcarriers)
-        noise_var = float(np.mean(np.abs(rx_pre - pre_gains * ref) ** 2))
-        noise_var = max(noise_var, 1e-9)
-
-        header_bits = self._decode_block(
-            rx_symbols[layout.header], gains[layout.header], noise_var,
-            layout.header_modulation,
-            CONSTELLATIONS[layout.header_modulation].bits_per_symbol,
-            layout.header_code_rate, layout.n_header_mother_bits,
-            layout.header_pad_bits, soft=False)
-        header, header_ok = LinkHeader.from_bits(header_bits)
-
-        rate = self.rates[layout.body_rate_index]
-        body = self._decode_block(
-            rx_symbols[layout.body], gains[layout.body], noise_var,
-            layout.body_modulation, rate.bits_per_symbol,
-            layout.body_code_rate, layout.n_body_mother_bits,
-            layout.body_pad_bits, soft=True)
-
-        decoded = body.bits
-        if self.scramble:
-            decoded = bitutil.descramble(decoded, _SCRAMBLE_SEED)
-        crc_ok = bitutil.check_crc32(decoded)
-        payload = decoded[:-32]
-
-        error_mask = None
-        true_ber = None
-        if tx_frame is not None:
-            error_mask = body.bits != tx_frame.body_info_bits
-            true_ber = float(np.mean(error_mask))
-
-        return RxResult(header=header if header_ok else header,
-                        header_ok=header_ok, payload_bits=payload,
-                        body_bits=decoded,
-                        crc_ok=crc_ok, llrs=body.llrs,
-                        info_symbol=layout.info_symbol,
-                        n_body_symbols=layout.n_body_symbols,
-                        snr_db=snr_db, noise_var_est=noise_var,
-                        error_mask=error_mask, true_ber=true_ber)
+        return batch_receive(self, rx_symbols[None], gains[None], layout,
+                             tx=tx_frame)[0]
 
     # ------------------------------------------------------------------
     # Batched fast path (see repro.phy.batch)
@@ -338,7 +269,6 @@ class Transceiver:
         """Build a :class:`~repro.phy.batch.TxBatch` of equal-length
         frames; ``batch.frame(i)`` is what :meth:`transmit` builds for
         frame ``i``."""
-        from repro.phy.batch import batch_transmit
         return batch_transmit(self, payloads, rate_index, dest=dest,
                               src=src, seqs=seqs, flags=flags)
 
@@ -347,11 +277,11 @@ class Transceiver:
         """Decode a ``(n_frames, n_symbols, n_subcarriers)`` stack.
 
         Returns one :class:`RxResult` per frame, bit-identical to
-        calling :meth:`receive` per frame; ``tx`` may be a
-        :class:`~repro.phy.batch.TxBatch` or a single :class:`TxFrame`
-        used as ground truth for every entry.
+        calling :meth:`receive` per frame, which is this path at one
+        frame (the tests check both against the scalar reference
+        decoder); ``tx`` may be a :class:`~repro.phy.batch.TxBatch` or
+        a single :class:`TxFrame` used as ground truth for every entry.
         """
-        from repro.phy.batch import batch_receive
         return batch_receive(self, rx_symbols, gains, layout, tx=tx)
 
     def run_batch(self, tx, gains: np.ndarray, noise_var, rng,
@@ -363,8 +293,10 @@ class Transceiver:
         channel realisations, one batched decode.  AWGN is drawn
         frame-by-frame in batch order, so for the same ``rng`` state
         the results are **bit-identical** to a sequential
-        transmit/``apply_channel``/:meth:`receive` loop — batching is
-        purely a throughput knob.
+        transmit/``apply_channel``/:meth:`receive` loop, which runs
+        this decoder one frame at a time — batching is purely a
+        throughput knob, and the tests check both against the scalar
+        reference decoder.
 
         Args:
             tx: a :class:`TxFrame` (same frame for every entry) or a

@@ -9,11 +9,13 @@ what lets ``repro.phy.batch.FRAMES_PER_DECODE`` be a constant rather
 than a parameter: the sweeps may stack frames however they like
 without shifting a single paper curve.
 
-``Transceiver.transmit`` is the batched transmit path at one frame;
-``_reference_transmit`` below is the scalar pipeline it replaced, kept
-as the oracle both transmit paths must match.
+``Transceiver.transmit`` and ``Transceiver.receive`` are the batched
+paths at one frame.  ``_reference_transmit`` and ``_reference_receive``
+below are the scalar pipelines they replaced, kept as the oracles every
+stack size, the one-frame stack included, must match.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -23,14 +25,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channel.awgn import apply_channel, noise_var_for_snr_db
 from repro.phy import bits as bitutil
+from repro.phy.batch import _SCRAMBLE_SEED
 from repro.phy.bcjr import bcjr_decode, bcjr_decode_batch
 from repro.phy.convcode import ConvolutionalCode, depuncture, puncture
 from repro.phy.frame import FLAG_HAS_POSTAMBLE, LinkHeader
 from repro.phy.interleaver import deinterleave, interleave
-from repro.phy.modulation import modulate, soft_demap, soft_demap_batch
+from repro.phy.modulation import (CONSTELLATIONS, modulate, soft_demap,
+                                  soft_demap_batch)
 from repro.phy.ofdm import training_symbols
 from repro.phy.rates import MODES, RATE_TABLE
-from repro.phy.transceiver import _SCRAMBLE_SEED, Transceiver, TxFrame
+from repro.phy.snr import estimate_preamble_snr
+from repro.phy.transceiver import RxResult, Transceiver, TxFrame
 from repro.phy.viterbi import viterbi_decode, viterbi_decode_batch
 
 ALL_RATES = [0, 1, 2, 3, 4, 5]          # BPSK/QPSK/QAM16 x 1/2, 3/4
@@ -92,6 +97,94 @@ def _reference_transmit(phy, payload_bits, rate_index, dest=1, src=0,
     return TxFrame(header=header, payload_bits=payload_bits,
                    body_info_bits=body_info, symbols=symbols,
                    layout=layout)
+
+
+def _reference_decode_block(phy, rx, gains, noise_var, modulation,
+                            bits_per_symbol, code_rate, n_mother_bits,
+                            pad, soft: bool):
+    """Demap and decode one coded region; returns LLRs or bits."""
+    if gains.ndim == 2:
+        per_sample_gains = gains.ravel()
+    else:
+        per_sample_gains = np.repeat(gains, phy.mode.n_subcarriers)
+    channel_llrs = soft_demap(rx.ravel(), modulation, noise_var,
+                              gains=per_sample_gains)
+    if phy.use_interleaver:
+        block = bits_per_symbol * phy.mode.n_subcarriers
+        channel_llrs = deinterleave(channel_llrs, block,
+                                    bits_per_symbol)
+    if pad:
+        channel_llrs = channel_llrs[:-pad]
+    mother_llrs = depuncture(channel_llrs, n_mother_bits, code_rate)
+    if soft:
+        return bcjr_decode(phy.code, mother_llrs,
+                           variant=phy.decoder_variant)
+    return viterbi_decode(phy.code, mother_llrs)
+
+
+def _reference_receive(phy, rx_symbols, gains, layout, tx_frame=None):
+    """The scalar receive pipeline, one frame at a time."""
+    rx_symbols = np.asarray(rx_symbols, dtype=np.complex128)
+    gains = np.asarray(gains, dtype=np.complex128)
+    if rx_symbols.shape != (layout.n_symbols, layout.n_subcarriers):
+        raise ValueError("received symbol array does not match layout")
+    if gains.ndim == 1:
+        if gains.size != layout.n_symbols:
+            raise ValueError(
+                "one channel gain per OFDM symbol required")
+    elif gains.shape != rx_symbols.shape:
+        raise ValueError(
+            "2-D gains must match the received symbol array")
+
+    training = training_symbols(layout.n_preamble_symbols,
+                                layout.n_subcarriers)
+    snr_db, _gain_est = estimate_preamble_snr(
+        rx_symbols[layout.preamble], training)
+    # Preamble-residual noise power; floor it to keep LLRs finite.
+    ref = training.ravel()
+    rx_pre = rx_symbols[layout.preamble].ravel()
+    if gains.ndim == 2:
+        pre_gains = gains[layout.preamble].ravel()
+    else:
+        pre_gains = np.repeat(gains[layout.preamble],
+                              layout.n_subcarriers)
+    noise_var = float(np.mean(np.abs(rx_pre - pre_gains * ref) ** 2))
+    noise_var = max(noise_var, 1e-9)
+
+    header_bits = _reference_decode_block(
+        phy, rx_symbols[layout.header], gains[layout.header], noise_var,
+        layout.header_modulation,
+        CONSTELLATIONS[layout.header_modulation].bits_per_symbol,
+        layout.header_code_rate, layout.n_header_mother_bits,
+        layout.header_pad_bits, soft=False)
+    header, header_ok = LinkHeader.from_bits(header_bits)
+
+    rate = phy.rates[layout.body_rate_index]
+    body = _reference_decode_block(
+        phy, rx_symbols[layout.body], gains[layout.body], noise_var,
+        layout.body_modulation, rate.bits_per_symbol,
+        layout.body_code_rate, layout.n_body_mother_bits,
+        layout.body_pad_bits, soft=True)
+
+    decoded = body.bits
+    if phy.scramble:
+        decoded = bitutil.descramble(decoded, _SCRAMBLE_SEED)
+    crc_ok = bitutil.check_crc32(decoded)
+    payload = decoded[:-32]
+
+    error_mask = None
+    true_ber = None
+    if tx_frame is not None:
+        error_mask = body.bits != tx_frame.body_info_bits
+        true_ber = float(np.mean(error_mask))
+
+    return RxResult(header=header, header_ok=header_ok,
+                    payload_bits=payload, body_bits=decoded,
+                    crc_ok=crc_ok, llrs=body.llrs,
+                    info_symbol=layout.info_symbol,
+                    n_body_symbols=layout.n_body_symbols,
+                    snr_db=snr_db, noise_var_est=noise_var,
+                    error_mask=error_mask, true_ber=true_ber)
 
 
 def _noisy_llr_batch(code, code_rate, n_info, n_frames, rng,
@@ -325,8 +418,8 @@ class TestPipelineParity:
         for i in range(n_frames):
             rx_syms[i], g = apply_channel(tx.symbols, gains[i],
                                           noise_var, rng)
-            refs.append(phy.receive(rx_syms[i], g, tx.layout,
-                                    tx_frame=tx))
+            refs.append(_reference_receive(phy, rx_syms[i], g,
+                                           tx.layout, tx_frame=tx))
         batch = phy.receive_batch(rx_syms, gains, tx.layout, tx=tx)
         assert len(batch) == n_frames
         for got, ref in zip(batch, refs):
@@ -357,8 +450,8 @@ class TestPipelineParity:
         for i in range(3):
             rx_syms[i], g = apply_channel(tx.symbols, gains[i],
                                           noise_var, rng)
-            refs.append(phy.receive(rx_syms[i], g, tx.layout,
-                                    tx_frame=tx))
+            refs.append(_reference_receive(phy, rx_syms[i], g,
+                                           tx.layout, tx_frame=tx))
         batch = phy.receive_batch(rx_syms, gains, tx.layout, tx=tx)
         for got, ref in zip(batch, refs):
             assert np.array_equal(got.llrs, ref.llrs)
@@ -379,7 +472,8 @@ class TestPipelineParity:
         for i in range(5):
             rx_sym, g = apply_channel(tx.symbols, gains[i], noise_var,
                                       seq_rng)
-            ref = phy.receive(rx_sym, g, tx.layout, tx_frame=tx)
+            ref = _reference_receive(phy, rx_sym, g, tx.layout,
+                                     tx_frame=tx)
             assert np.array_equal(batch[i].llrs, ref.llrs)
             assert batch[i].true_ber == ref.true_ber
 
@@ -396,7 +490,8 @@ class TestPipelineParity:
             rx_sym, g = apply_channel(tx.symbols, gains[i],
                                       noise_var_for_snr_db(6.0),
                                       seq_rng)
-            ref = phy.receive(rx_sym, g, tx.layout, tx_frame=tx)
+            ref = _reference_receive(phy, rx_sym, g, tx.layout,
+                                     tx_frame=tx)
             assert np.array_equal(batch[i].llrs, ref.llrs)
 
     def test_batch_input_validation(self, phy):
@@ -446,6 +541,51 @@ def test_transmit_matches_scalar_reference(mode, full_table, code,
     assert got.body_info_bits.tobytes() == ref.body_info_bits.tobytes()
     assert got.header == ref.header
     assert got.layout == ref.layout
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(sorted(MODES)),
+       full_table=st.booleans(), code=st.sampled_from(_CODES),
+       variant=st.sampled_from(["log-map", "max-log-map"]),
+       postamble=st.booleans(), interleaver=st.booleans(),
+       scramble=st.booleans(), n_bytes=st.integers(1, 250),
+       snr_db=st.floats(-3.0, 30.0), selective=st.booleans(),
+       with_truth=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_receive_matches_scalar_reference(mode, full_table, code,
+                                          variant, postamble,
+                                          interleaver, scramble,
+                                          n_bytes, snr_db, selective,
+                                          with_truth, seed, data):
+    """``receive`` (the batched path at one frame) decodes a noisy
+    frame to the same ``RxResult`` as the scalar pipeline, every field
+    byte for byte."""
+    rates = RATE_TABLE if full_table else RATE_TABLE.prototype_subset()
+    phy = Transceiver(mode=mode, rates=rates,
+                      code=ConvolutionalCode(*code) if code else None,
+                      use_postamble=postamble, decoder_variant=variant,
+                      use_interleaver=interleaver, scramble=scramble)
+    rate_index = data.draw(st.integers(0, len(rates) - 1),
+                           label="rate_index")
+    rng = np.random.default_rng(seed)
+    payload = rng.integers(0, 2, 8 * n_bytes).astype(np.uint8)
+    tx = phy.transmit(payload, rate_index)
+    shape = tx.symbols.shape if selective else tx.symbols.shape[:1]
+    gains = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        / np.sqrt(2)
+    rx_sym, gains = apply_channel(tx.symbols, gains,
+                                  noise_var_for_snr_db(snr_db), rng)
+    truth = tx if with_truth else None
+    got = phy.receive(rx_sym, gains, tx.layout, tx_frame=truth)
+    ref = _reference_receive(phy, rx_sym, gains, tx.layout,
+                             tx_frame=truth)
+    for f in dataclasses.fields(RxResult):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
 
 
 class TestExperimentBatchInvariance:

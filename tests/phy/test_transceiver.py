@@ -139,12 +139,19 @@ class TestValidation:
     def test_symbol_shape_checked(self, phy):
         rng = np.random.default_rng(16)
         tx = phy.transmit(random_bits(160, rng), rate_index=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match layout"):
             phy.receive(tx.symbols[:-1], np.ones(tx.layout.n_symbols),
                         tx.layout)
 
     def test_gain_length_checked(self, phy):
         rng = np.random.default_rng(17)
         tx = phy.transmit(random_bits(160, rng), rate_index=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one channel gain per"):
             phy.receive(tx.symbols, np.ones(3), tx.layout)
+
+    def test_2d_gain_shape_checked(self, phy):
+        rng = np.random.default_rng(18)
+        tx = phy.transmit(random_bits(160, rng), rate_index=0)
+        with pytest.raises(ValueError, match="2-D gains must match"):
+            phy.receive(tx.symbols, np.ones(tx.symbols.shape)[:, :-1],
+                        tx.layout)

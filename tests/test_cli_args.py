@@ -17,6 +17,7 @@ hang after another.
 
 import contextlib
 import io
+import math
 import os
 import signal
 import subprocess
@@ -212,20 +213,32 @@ class TestSweepValues:
             ["snr-untrained", "softrate"]
         assert _parse_values("b'',1j") == [b"", 1j]
         assert _parse_values("1,2,") == [1, 2]
+        # Not Python literals: they used to reach experiments as the
+        # strings 'nan', 'inf' and '-inf'.
+        nan, inf, minus_inf = _parse_values("nan,inf,-inf")
+        assert math.isnan(nan)
+        assert (inf, minus_inf) == (math.inf, -math.inf)
+        assert _parse_values("1e400,infinity") == [math.inf, math.inf]
+        assert _parse_values("nan0,infinity_") == ["nan0", "infinity_"]
 
 
-_SCALAR = (st.integers() | st.floats(allow_nan=False,
-                                     allow_infinity=False)
-           | st.booleans() | st.none() | st.binary(max_size=4)
-           | st.text(max_size=6)
-           | st.text(alphabet=",'\"()[]{}\\", max_size=6))
+_LITERAL_SCALAR = (st.integers() | st.floats(allow_nan=False,
+                                             allow_infinity=False)
+                   | st.booleans() | st.none() | st.binary(max_size=4)
+                   | st.text(max_size=6)
+                   | st.text(alphabet=",'\"()[]{}\\", max_size=6))
+#: A whole value may also be infinite; inside a tuple ``inf`` is not a
+#: literal, so the tuple stays a string.
+_SCALAR = _LITERAL_SCALAR | st.sampled_from([math.inf, -math.inf])
 
 
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(
-    _SCALAR | st.lists(_SCALAR, max_size=3).map(tuple), max_size=5))
+    _SCALAR | st.lists(_LITERAL_SCALAR, max_size=3).map(tuple),
+    max_size=5))
 def test_values_round_trip(values):
-    """Any list of literals, joined by commas, parses back to itself."""
+    """Any list of literals or infinities, joined by commas, parses
+    back to itself."""
     assert _parse_values(",".join(map(repr, values))) == values
 
 
@@ -315,6 +328,10 @@ class TestOutOfRangeInputs:
          "--set", "client_counts=(1,)", "--no-cache"],
         ["run", "fig16", "--set", "duration=0", "--no-cache"],
         ["run", "fig17", "--set", "duration=-1", "--no-cache"],
+        # nan and inf used to arrive as strings; the cell's TypeError
+        # was retried twice.
+        ["run", "cell", "--set", "duration=nan", "--no-cache"],
+        ["run", "fig16", "--set", "duration=inf", "--no-cache"],
     ])
     def test_exits_2_with_one_error_line(self, argv, monkeypatch):
         def generated(*_args, **_kwargs):
