@@ -2,19 +2,20 @@
 time.
 
 Decodes the same stack of fig07-style frames (1600-bit payloads, QPSK
-3/4, AWGN across the waterfall region) twice — once frame-by-frame
-through ``Transceiver.receive``, which is the batch path on one-frame
-stacks, and once through the batched ``receive_batch`` — and reports
-frames/sec for both.  The two must be bit-identical (spot-checked
-here; both are checked against the scalar reference decoder in
-``tests/phy/test_batch.py``) and the batch at least 2x faster on a
-64-frame batch: the point of batching is that the Python-level
-trellis loops run once per batch instead of once per frame, and a
-batch that degenerates into a per-frame loop (~1x) fails.  The floor was 3x
-until the BCJR kernel became one butterfly strategy: that made both
-paths faster, the per-frame one (the ratio's denominator) about 2.5x
-and the batched one about 1.3-1.5x, because a 64-frame decode is
-mostly per-element ``logaddexp`` work that batching cannot share.
+3/4, AWGN across the waterfall region) frame-by-frame through
+``Transceiver.receive``, which is the batch path on one-frame stacks,
+and through the batched ``receive_batch``, in alternated passes, and
+reports frames/sec for each side's fastest pass.  The two must be
+bit-identical (spot-checked here; both are checked against the scalar
+reference decoder in ``tests/phy/test_batch.py``) and the batch at
+least 2x faster on a 64-frame batch: the point of batching is that
+the Python-level trellis loops run once per batch instead of once per
+frame, and a batch that degenerates into a per-frame loop (~1x)
+fails.  The floor was 3x until the BCJR kernel became one butterfly
+strategy: that made both paths faster, the per-frame one (the ratio's
+denominator) about 2.5x and the batched one about 1.3-1.5x, because a
+64-frame decode is mostly per-element ``logaddexp`` work that
+batching cannot share.
 
 Set ``REPRO_SMOKE_BENCH=1`` for a seconds-scale smoke run (small batch
 and payload, relaxed speedup floor) — used by CI.
@@ -36,6 +37,11 @@ _N_FRAMES, _PAYLOAD_BITS, _MIN_SPEEDUP = \
     (8, 400, 1.0) if _SMOKE else (64, 1600, 2.0)
 _RATE_INDEX = 3                     # QPSK 3/4, the fig07 reference rate
 _SNR_RANGE_DB = (4.0, 12.0)         # the rate's waterfall region
+
+#: Timed passes per side.  The sides alternate, each pass in the other
+#: order, and each keeps its fastest pass, so host load that comes and
+#: goes slows both alike instead of deciding the ratio.
+_PASSES = 4
 
 
 def _build_rx_stack(phy, rng):
@@ -67,21 +73,23 @@ def test_batched_receive_speedup():
     phy.receive(rx[0], gains[0], tx.layout, tx_frame=tx)
     phy.receive_batch(rx[:1], gains[:1], tx.layout, tx=tx)
 
-    def best_of(n, fn):
-        """Best wall time of ``n`` runs (shields the ratio from one-off
-        scheduler noise); returns (seconds, last result)."""
-        best, result = float("inf"), None
-        for _ in range(n):
+    sides = {
+        "per-frame": lambda: [
+            phy.receive(rx[i], gains[i], tx.layout, tx_frame=tx)
+            for i in range(_N_FRAMES)],
+        "batched": lambda: phy.receive_batch(rx, gains, tx.layout,
+                                             tx=tx),
+    }
+    fastest, outputs = {}, {}
+    for attempt in range(_PASSES):
+        order = list(sides) if attempt % 2 == 0 else list(sides)[::-1]
+        for side in order:
             start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    scalar_s, scalar = best_of(2, lambda: [
-        phy.receive(rx[i], gains[i], tx.layout, tx_frame=tx)
-        for i in range(_N_FRAMES)])
-    batched_s, batched = best_of(2, lambda: phy.receive_batch(
-        rx, gains, tx.layout, tx=tx))
+            outputs[side] = sides[side]()
+            elapsed = time.perf_counter() - start
+            fastest[side] = min(elapsed, fastest.get(side, elapsed))
+    scalar_s, scalar = fastest["per-frame"], outputs["per-frame"]
+    batched_s, batched = fastest["batched"], outputs["batched"]
 
     # Bit-identical outputs (the regression suite is the full check).
     for ref, got in zip(scalar, batched):

@@ -91,8 +91,7 @@ DEFAULT_CAMPAIGN_CONFIG = {
     "supervised_retries": 2,
     # Ingestion series: one synthesized record stream appended as
     # legacy JSONL lines and through the result store's WAL-tail
-    # writer (``chunk_records`` rows per sealed npz chunk), then
-    # aggregated off each.
+    # writer (``chunk_records`` rows per sealed npz chunk).
     "ingest_records": 512,
     "ingest_chunk_records": 128,
     # Video series: the rateless half of the ``video`` experiment on
@@ -247,8 +246,8 @@ def measure_campaigns(config: Optional[dict] = None
     Also measures the result-store series (``ingest_*`` config keys):
     the same synthesized record stream appended as legacy JSONL
     lines (a plain :class:`repro.campaigns.checkpoint.RecordWriter`)
-    and through the result store's chunk-sealing writer, then fully
-    aggregated off each.  The gated ratio ``colstore_ingest_ratio`` —
+    and through the result store's chunk-sealing writer.  The gated
+    ratio ``colstore_ingest_ratio`` —
     store records/sec over JSONL records/sec — pins the store's
     per-record durability cost (tail fsync + periodic npz seal)
     relative to the plain JSONL baseline on the same machine.
@@ -373,9 +372,7 @@ def measure_campaigns(config: Optional[dict] = None
     station_seconds = n_stations * horizon
 
     # Result-store series: identical synthesized records as legacy
-    # JSONL lines and through the store's chunk-sealing writer, then
-    # a full aggregation pass off each (the legacy directory reads
-    # through the store's tail reader, one record at a time).
+    # JSONL lines and through the store's chunk-sealing writer.
     from repro.campaigns.checkpoint import RecordWriter
     from repro.campaigns.colstore import ResultStore
 
@@ -383,9 +380,8 @@ def measure_campaigns(config: Optional[dict] = None
     chunk_records = int(cfg.get("ingest_chunk_records", 128))
     stream = _ingest_stream(n_records)
 
-    def store_pass(columnar: bool, aggregate: bool) -> float:
-        """Wall seconds to ingest (or, with ``aggregate``, to ingest
-        untimed and then aggregate) the stream on one write path."""
+    def store_pass(columnar: bool) -> float:
+        """Wall seconds to ingest the stream on one write path."""
         with tempfile.TemporaryDirectory() as cache:
             store = ResultStore(matrix, cache_dir=cache,
                                 chunk_records=chunk_records)
@@ -396,38 +392,21 @@ def measure_campaigns(config: Optional[dict] = None
                                  "results-bench.jsonl"))) as writer:
                 for record in stream:
                     writer.append(record)
-            if not aggregate:
-                return time.perf_counter() - start
-            start = time.perf_counter()
-            summary = store.stream_aggregates()
-            if summary.count != n_records:
-                raise RuntimeError(
-                    f"benchmark store incomplete: {summary.count}/"
-                    f"{n_records} records aggregated")
             return time.perf_counter() - start
 
-    def best_store(columnar: bool, aggregate: bool) -> float:
-        # store_pass times its own measured section (ingest or
-        # aggregation), excluding tempdir setup — so take the min of
-        # its return values rather than wrapping it in _best_of.
-        return min(store_pass(columnar, aggregate)
-                   for _ in range(max(repeats, 1)))
-
-    store_pass(True, False)                     # warm lazy imports
+    store_pass(True)                            # warm lazy imports
     # Ingest is fsync-per-record on both paths, so its wall time
     # tracks disk latency, which drifts minute to minute.  Measure
     # the two paths back to back within each repeat and gate on
     # the median paired ratio — a slow I/O window then hits both
     # sides of one pair instead of skewing the ratio of two minima
     # taken in different windows.
-    ingest_pairs = [(store_pass(False, False), store_pass(True, False))
+    ingest_pairs = [(store_pass(False), store_pass(True))
                     for _ in range(max(repeats, 1))]
     jsonl_ingest_s = min(j for j, _ in ingest_pairs)
     colstore_ingest_s = min(c for _, c in ingest_pairs)
     paired_ratios = sorted(j / c for j, c in ingest_pairs)
     ingest_ratio = paired_ratios[len(paired_ratios) // 2]
-    jsonl_aggregate_s = best_store(False, True)
-    colstore_aggregate_s = best_store(True, True)
 
     # Video series: the rateless-over-PPR pipeline end to end on the
     # surrogate backend.  Symbols/sec covers fountain encode, the
@@ -467,12 +446,6 @@ def measure_campaigns(config: Optional[dict] = None
         "colstore_ingest_records_per_sec":
             n_records / colstore_ingest_s,
         "colstore_ingest_ratio": ingest_ratio,
-        "jsonl_aggregate_records_per_sec":
-            n_records / jsonl_aggregate_s,
-        "colstore_aggregate_records_per_sec":
-            n_records / colstore_aggregate_s,
-        "colstore_aggregate_speedup":
-            jsonl_aggregate_s / colstore_aggregate_s,
     }
 
 

@@ -26,12 +26,13 @@ fault-injection harness (:mod:`repro.campaigns.faults`) proving the
 recovery guarantees.  See ``docs/resilience.md``.
 
 Records land in one :class:`ResultStore`: each is fsynced as a line
-of a write-ahead JSONL tail, then sealed into npz column chunks that
-aggregate vectorized (:mod:`repro.campaigns.colstore`).  Campaign
-*service mode* (:class:`CampaignService`, ``repro campaign
-serve``/``submit``) layers a long-running asyncio submission front
-end with a durable queue on top of the same runner and store; see
-``docs/service.md``.
+of a write-ahead JSONL tail, then sealed into npz column chunks
+(:mod:`repro.campaigns.colstore`).  Progress answers
+(:class:`CampaignStatus`) and summaries read the same checked
+records.  Campaign *service mode* (:class:`CampaignService`,
+``repro campaign serve``/``submit``) layers a long-running asyncio
+submission front end with a durable queue on top of the same runner
+and store; see ``docs/service.md``.
 
 The CLI mirrors this as ``repro campaign
 run/status/report/verify/chaos/serve/submit/results``; see
@@ -39,7 +40,7 @@ run/status/report/verify/chaos/serve/submit/results``; see
 """
 
 from repro.campaigns.checkpoint import CheckpointCorruptionWarning
-from repro.campaigns.colstore import ResultStore, StreamingSummary
+from repro.campaigns.colstore import ResultStore
 from repro.campaigns.faults import (FaultInjectedError, FaultPlan,
                                     FaultSpec, chaos_wall)
 from repro.campaigns.matrix import (Axis, CampaignError, CampaignMatrix,
@@ -56,6 +57,6 @@ __all__ = ["Axis", "RandomAxis", "CampaignMatrix", "CampaignScenario",
            "CampaignStatus", "CheckpointCorruptionWarning",
            "FaultInjectedError", "FaultPlan", "FaultSpec",
            "ResultStore", "ServiceError", "ServiceUnavailable",
-           "StreamingSummary", "chaos_wall", "derive_scenario_seed",
+           "chaos_wall", "derive_scenario_seed",
            "get_campaign", "campaign_names", "list_campaigns",
            "register_campaign"]

@@ -12,8 +12,8 @@ by the matrix's content digest, holding:
 * ``columns-{label}-{seq:08d}.npz`` — sealed column chunks: one numpy
   column per record field (ids, indices, seeds, params JSON, elapsed,
   CRCs) plus a dense ``(n_metrics, n_rows)`` value matrix with a
-  presence mask, so aggregation is a handful of vectorized
-  reductions per chunk instead of one ``json.loads`` per record.
+  presence mask distinguishing a missing metric from a NaN one.
+  Reads decode chunks row by row into checkpoint records.
 * ``quarantine.jsonl`` — scenarios the supervised runner gave up on
   after exhausting retries, with their captured tracebacks (see
   :mod:`repro.campaigns.runner`).
@@ -54,14 +54,6 @@ skips damaged lines, rows and chunks with a
 torn trailing tail line a kill leaves is skipped silently — and the
 affected scenarios are recomputed on the next run.  ``repro campaign
 verify`` exposes the same scan on the CLI.
-
-**Streaming aggregation.**  :class:`StreamingSummary` folds metric
-sums incrementally — vectorized over sealed chunks, per-record over
-the tail — so a service can report live campaign-wide means without
-materializing records.  Streamed means are monitoring output: final
-summaries always come from
-:meth:`repro.campaigns.runner.CampaignRunner.report`, which fixes
-canonical scenario order so resumed runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -83,15 +75,15 @@ from repro.campaigns.checkpoint import (CheckpointCorruptionWarning,
 from repro.experiments.api import _canonical_json, _decode_metrics
 
 __all__ = ["CHUNK_SCHEMA", "ColumnChunkWriter", "DEFAULT_CHUNK_RECORDS",
-           "ResultStore", "StreamingSummary", "chunk_paths",
-           "read_chunk", "scan_chunks", "tail_paths", "write_chunk"]
+           "ResultStore", "chunk_paths", "read_chunk", "scan_chunks",
+           "tail_paths", "write_chunk"]
 
 #: Format marker embedded in every chunk file.
 CHUNK_SCHEMA = "repro-colstore/1"
 
 #: Rows buffered in the WAL tail before sealing a chunk.  Small
 #: enough that a chunk seals every few seconds on real campaigns,
-#: large enough that reads are vectorized in practice.
+#: large enough that one npz file holds many rows.
 DEFAULT_CHUNK_RECORDS = 64
 
 #: Arrays every chunk must carry to be loadable.
@@ -281,62 +273,6 @@ def scan_chunks(directory: str
     return records, issues
 
 
-class StreamingSummary:
-    """Incrementally folded campaign-wide metric means.
-
-    Accepts per-record updates (:meth:`update`) and whole-column
-    updates (:meth:`update_columns`), ignoring NaN values and
-    ``*_digest`` identity metrics exactly like
-    :func:`repro.analysis.aggregate.aggregate_metrics` does — so a
-    live service can show converging means while chunks land.
-    Streamed means are a monitoring surface: committed summaries are
-    rebuilt in canonical scenario order by ``report()``.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self._sums: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-
-    @staticmethod
-    def _tracked(name: str) -> bool:
-        return not name.endswith("_digest")
-
-    def update(self, metrics: Dict[str, float]) -> None:
-        """Fold one record's (decoded) metrics into the running
-        sums."""
-        self.count += 1
-        for key, value in metrics.items():
-            if not self._tracked(key) or value is None:
-                continue
-            value = float(value)
-            if np.isnan(value):
-                continue
-            self._sums[key] = self._sums.get(key, 0.0) + value
-            self._counts[key] = self._counts.get(key, 0) + 1
-
-    def update_columns(self, names: List[str], values: np.ndarray,
-                       present: np.ndarray) -> None:
-        """Fold one chunk's metric columns in, vectorized: one masked
-        sum per metric instead of one dict walk per record."""
-        self.count += int(values.shape[1]) if values.ndim == 2 else 0
-        for i, name in enumerate(names):
-            if not self._tracked(name):
-                continue
-            mask = present[i] & ~np.isnan(values[i])
-            n = int(mask.sum())
-            if n == 0:
-                continue
-            self._sums[name] = self._sums.get(name, 0.0) \
-                + float(values[i][mask].sum())
-            self._counts[name] = self._counts.get(name, 0) + n
-
-    def aggregates(self) -> Dict[str, float]:
-        """The running means, sorted by metric name."""
-        return {name: self._sums[name] / self._counts[name]
-                for name in sorted(self._sums)}
-
-
 class ResultStore:
     """The on-disk state of one campaign (see the module docstring).
 
@@ -445,26 +381,6 @@ class ResultStore:
     def completed_ids(self) -> set:
         """Scenario ids that already have a checkpointed record."""
         return set(self.load_records())
-
-    def stream_aggregates(self) -> StreamingSummary:
-        """Fold the whole store into a :class:`StreamingSummary`:
-        vectorized over sealed chunks, per-record over the tails.
-        Damaged chunks and lines are skipped silently — this is the
-        monitoring path; ``verify`` is the audit path."""
-        summary = StreamingSummary()
-        for path in chunk_paths(self.directory):
-            try:
-                with np.load(path, allow_pickle=False) as data:
-                    names = [str(n) for n in data["metric_names"]]
-                    summary.update_columns(names,
-                                           data["metric_values"],
-                                           data["metric_present"])
-            except Exception:
-                continue
-        for path in tail_paths(self.directory):
-            for _line_no, record in read_jsonl(path, check_record)[0]:
-                summary.update(record["metrics"])
-        return summary
 
     # -- quarantine ---------------------------------------------------
 

@@ -40,7 +40,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, \
     ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -54,7 +54,21 @@ from repro.core.mix import uniform01
 from repro.experiments.api import (ExperimentExecutionError,
                                    _canonical, execute_task)
 
-__all__ = ["CampaignRunner", "CampaignStatus", "parse_shard"]
+__all__ = ["CampaignRunner", "CampaignStatus", "parse_shard",
+           "state_exit_code"]
+
+#: The exit-code contract of ``repro campaign run``, ``results`` and
+#: ``submit``: 0 = every scenario checkpointed, 3 = scenarios pending
+#: (a sharded, limited, interrupted or never-started run — not an
+#: error), 4 = pending scenarios quarantined after repeated failures.
+_STATE_EXIT_CODES = {"complete": 0, "partial": 3, "not-started": 3,
+                     "quarantined": 4}
+
+
+def state_exit_code(state: str) -> int:
+    """The CLI exit code of a campaign or submission state; any other
+    state (the service's ``error``) exits 1."""
+    return _STATE_EXIT_CODES.get(state, 1)
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -119,6 +133,10 @@ class CampaignStatus:
     #: never-run campaign reports ``started=False`` with a clean
     #: zero count instead of pretending an empty directory exists.
     started: bool = True
+    #: Campaign-wide means of the completed scenarios' metrics: the
+    #: ``aggregates`` that ``report()`` builds from the same records.
+    aggregates: Dict[str, Any] = field(default_factory=dict,
+                                       compare=False)
 
     @property
     def pending(self) -> int:
@@ -135,6 +153,35 @@ class CampaignStatus:
     def failed(self) -> bool:
         """Whether any pending scenario is quarantined."""
         return self.quarantined > 0
+
+    @property
+    def state(self) -> str:
+        """``not-started``, ``complete``, ``quarantined`` (a pending
+        scenario is quarantined) or ``partial``; see
+        :func:`state_exit_code`."""
+        if not self.started:
+            return "not-started"
+        if self.done:
+            return "complete"
+        return "quarantined" if self.failed else "partial"
+
+
+def _means(ordered_metrics: Sequence[Dict[str, float]]
+           ) -> Tuple[List[str], Dict[str, Any]]:
+    """The averaged metric names, sorted, and their canonical means
+    over metric dicts in canonical scenario order (float sums are
+    order-sensitive).
+
+    Identity digests (exact content hashes) ride in per-scenario rows
+    for the determinism wall, but a *mean* of hashes is meaningless
+    noise, so ``*_digest`` metrics are left out.
+    """
+    names = sorted({k for m in ordered_metrics for k in m
+                    if not k.endswith("_digest")})
+    kept = set(names)
+    return names, _canonical(aggregate_metrics(
+        [{k: v for k, v in m.items() if k in kept}
+         for m in ordered_metrics]))
 
 
 class CampaignRunner:
@@ -224,36 +271,35 @@ class CampaignRunner:
         return self.retry_backoff_s * (2 ** attempt) * jitter
 
     def _status(self, matrix: CampaignMatrix, store: ResultStore,
-                current: Optional[set] = None,
-                done: Optional[set] = None) -> CampaignStatus:
-        # Count only records matching the *current* expansion:
-        # scenario ids fold in experiment defaults and the surrogate
-        # calibration fingerprint, so records can go stale (and get
-        # recomputed) without the matrix digest changing.  Callers
-        # that already expanded / read the store pass the sets in.
-        started = os.path.isdir(store.directory)
-        if not started:
+                scenarios: Optional[Sequence[CampaignScenario]] = None
+                ) -> CampaignStatus:
+        """Progress of ``matrix`` from one read of ``store``.
+
+        Counts only records of the *current* expansion (``scenarios``,
+        expanded here unless the caller already did): scenario ids
+        fold in experiment defaults and the surrogate calibration
+        fingerprint, so records can go stale (and get recomputed)
+        without the matrix digest changing.
+        """
+        if not os.path.isdir(store.directory):
             # Never-run campaigns answer from the matrix alone — no
-            # directory probing beyond the existence check, and no
-            # side effects on disk.
+            # expansion, and no side effects on disk.
             return CampaignStatus(
                 name=matrix.name, digest=matrix.digest(),
                 total=matrix.total_scenarios(), completed=0,
-                directory=store.directory, quarantined=0,
-                started=False)
-        if current is None:
-            current = {s.scenario_id for s in matrix.expand()}
-        if done is None:
-            done = store.completed_ids()
-        completed = current & done
-        quarantined = (store.quarantined_ids() & current) - completed
+                directory=store.directory, started=False)
+        if scenarios is None:
+            scenarios = matrix.expand()
+        records = store.load_records()
+        completed = [records[s.scenario_id]["metrics"]
+                     for s in scenarios if s.scenario_id in records]
+        pending = {s.scenario_id for s in scenarios} - set(records)
         return CampaignStatus(
             name=matrix.name, digest=matrix.digest(),
-            total=matrix.total_scenarios(),
-            completed=len(completed),
+            total=matrix.total_scenarios(), completed=len(completed),
             directory=store.directory,
-            quarantined=len(quarantined),
-            started=True)
+            quarantined=len(store.quarantined_ids() & pending),
+            aggregates=_means(completed)[1])
 
     # -- public API ---------------------------------------------------
 
@@ -275,7 +321,6 @@ class CampaignRunner:
         store = ResultStore(matrix, cache_dir=self.cache_dir)
         store.ensure()
         scenarios = matrix.expand()
-        current = {s.scenario_id for s in scenarios}
         index, total = self.shard
         mine = [s for s in scenarios if s.index % total == index]
         done = store.completed_ids()
@@ -296,7 +341,7 @@ class CampaignRunner:
             for note in self.fault_plan.apply_store_faults(
                     store.directory):
                 self._emit(f"{matrix.name}: {note}")
-        return self._status(matrix, store, current=current)
+        return self._status(matrix, store, scenarios)
 
     # -- completion / failure handling --------------------------------
 
@@ -573,15 +618,7 @@ class CampaignRunner:
             # runs summarize to identical bytes.
             ordered_metrics.append(record["metrics"])
 
-        # Identity digests (exact content hashes) ride in per-scenario
-        # rows for the determinism wall, but a *mean* of hashes is
-        # meaningless noise — keep them out of every averaged view.
-        metric_names = sorted(
-            {k for m in ordered_metrics for k in m
-             if not k.endswith("_digest")})
-        mean_inputs = [{k: v for k, v in m.items()
-                        if k in set(metric_names)}
-                       for m in ordered_metrics]
+        metric_names, aggregates = _means(ordered_metrics)
         summary: Dict[str, Any] = {
             "campaign": matrix.name,
             "experiment": matrix.experiment,
@@ -590,8 +627,7 @@ class CampaignRunner:
             "completed": len(rows),
             "varied": varied,
             "metrics": metric_names,
-            "aggregates": _canonical(
-                aggregate_metrics(mean_inputs)),
+            "aggregates": aggregates,
             "rows": rows,
         }
         if group_by:
@@ -607,3 +643,17 @@ class CampaignRunner:
             store.ensure()
             write_json_atomic(store.summary_path, summary)
         return summary
+
+    def results(self, matrix: CampaignMatrix) -> Dict[str, Any]:
+        """The campaign's ``state``, ``completed``, ``total`` and
+        ``quarantined`` counts and, once it has started, its written
+        ``summary`` (:meth:`report`) — the payload ``repro campaign
+        results`` prints, whether a service or the local store
+        answers."""
+        status = self.status(matrix)
+        payload: Dict[str, Any] = {
+            "state": status.state, "completed": status.completed,
+            "total": status.total, "quarantined": status.quarantined}
+        if status.started:
+            payload["summary"] = self.report(matrix)
+        return payload

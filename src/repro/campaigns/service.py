@@ -59,6 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.campaigns.checkpoint import (LineRejected, RecordWriter,
                                         read_jsonl, require,
                                         write_json_atomic)
+from repro.campaigns.runner import CampaignRunner, state_exit_code
 
 __all__ = ["CampaignService", "ServiceError", "ServiceUnavailable",
            "Submission", "TERMINAL_STATES", "read_endpoint",
@@ -67,12 +68,6 @@ __all__ = ["CampaignService", "ServiceError", "ServiceUnavailable",
 #: Submission states that end a submission's lifecycle.
 TERMINAL_STATES = ("complete", "partial", "quarantined", "error")
 
-#: Exit codes the CLI maps submission states onto — the same
-#: contract ``repro campaign run`` uses (0 complete / 3 partial /
-#: 4 quarantined), with harness errors as 1.
-_STATE_EXIT_CODES = {"complete": 0, "partial": 3, "quarantined": 4,
-                     "error": 1}
-
 
 class ServiceError(RuntimeError):
     """A campaign-service failure (protocol or server side)."""
@@ -80,11 +75,6 @@ class ServiceError(RuntimeError):
 
 class ServiceUnavailable(ServiceError):
     """No live server behind the cache directory's endpoint file."""
-
-
-def state_exit_code(state: str) -> int:
-    """Map a terminal submission state to the CLI exit code."""
-    return _STATE_EXIT_CODES.get(state, 1)
 
 
 @dataclass
@@ -333,7 +323,6 @@ class CampaignService:
         """Build the runner for one submission (options override the
         service defaults)."""
         from repro.campaigns.faults import FaultPlan
-        from repro.campaigns.runner import CampaignRunner
 
         plan = None
         fault = options.get("fault")
@@ -374,12 +363,8 @@ class CampaignService:
                 matrix, limit=None if limit is None else int(limit))
             if status.done:
                 runner.report(matrix)
-                state = "complete"
-            elif status.failed:
-                state = "quarantined"
-            else:
-                state = "partial"
-            return {"state": state, "completed": status.completed,
+            return {"state": status.state,
+                    "completed": status.completed,
                     "total": status.total,
                     "quarantined": status.quarantined}
         except Exception as exc:
@@ -473,20 +458,18 @@ class CampaignService:
             return {"ok": False, "error": "no such submission"}
         response = {"ok": True, **sub.to_payload()}
         if sub.state == "running":
-            # Live progress + streaming aggregates straight off the
-            # store — cheap enough to answer inline, and reading
-            # concurrently with the writer is safe (records are
-            # immutable once visible).
+            # Live progress and the report's own means over the
+            # checked records completed so far, from one store read —
+            # cheap enough to answer inline, and reading concurrently
+            # with the writer is safe (records are immutable once
+            # visible).
             try:
-                from repro.campaigns.colstore import ResultStore
                 from repro.campaigns.stock import get_campaign
-                matrix = get_campaign(sub.campaign)
-                status = self._runner({}).status(matrix)
-                response["completed"] = status.completed
-                response["total"] = status.total
-                response["aggregates"] = ResultStore(
-                    matrix, cache_dir=self.cache_dir
-                ).stream_aggregates().aggregates()
+                status = self._runner({}).status(
+                    get_campaign(sub.campaign))
+                response.update(completed=status.completed,
+                                total=status.total,
+                                aggregates=status.aggregates)
             except Exception:
                 pass
         return response
@@ -501,19 +484,7 @@ class CampaignService:
         except UnknownCampaignError as exc:
             return {"ok": False, "error": str(exc.args[0]),
                     "unknown_campaign": True}
-        runner = self._runner({})
-        status = runner.status(matrix)
-        if not status.started:
-            return {"ok": True, "state": "not-started",
-                    "completed": 0, "total": status.total}
-        summary = runner.report(matrix)
-        state = "complete" if status.done else \
-            ("quarantined" if status.failed else "partial")
-        return {"ok": True, "state": state,
-                "completed": status.completed,
-                "total": status.total,
-                "quarantined": status.quarantined,
-                "summary": summary}
+        return {"ok": True, **self._runner({}).results(matrix)}
 
 
 # --------------------------------------------------------------------

@@ -438,7 +438,7 @@ def _cmd_campaign_list(_args) -> int:
 
 def _cmd_campaign_run(args) -> int:
     from repro.campaigns import CampaignRunner
-    from repro.campaigns.runner import parse_shard
+    from repro.campaigns.runner import parse_shard, state_exit_code
 
     matrix, code = _campaign_matrix(args)
     if matrix is None:
@@ -451,18 +451,12 @@ def _cmd_campaign_run(args) -> int:
     status = runner.run(matrix, limit=args.limit)
     print(f"{status.name}: {status.completed}/{status.total} "
           f"scenarios checkpointed in {status.directory}")
-    # Exit-code contract: 0 = every scenario checkpointed, 3 =
-    # scenarios remain pending (sharded/limited/interrupted run),
-    # 4 = pending scenarios are quarantined (see `campaign verify`).
-    if status.done:
-        return 0
-    if status.failed:
+    if status.state == "quarantined":
         print(f"error: {status.quarantined} scenario(s) quarantined "
               f"after repeated failures — see "
               f"{status.directory}/quarantine.jsonl",
               file=sys.stderr)
-        return 4
-    return 3
+    return state_exit_code(status.state)
 
 
 def _cmd_campaign_verify(args) -> int:
@@ -487,8 +481,7 @@ def _cmd_campaign_verify(args) -> int:
         import os as _os
         print(f"  corrupt: {_os.path.basename(issue.path)}:"
               f"{issue.line_no} [{issue.kind}] {issue.detail}")
-    quarantine = CampaignRunner(cache_dir=args.cache_dir) \
-        ._status(matrix, store)
+    quarantine = CampaignRunner(cache_dir=args.cache_dir).status(matrix)
     entries = store.load_quarantine()
     if entries:
         done = set(records) & current
@@ -628,9 +621,9 @@ def _submission_options(args) -> Dict[str, Any]:
 
 
 def _cmd_campaign_submit(args) -> int:
+    from repro.campaigns.runner import state_exit_code
     from repro.campaigns.service import (ServiceError,
                                          ServiceUnavailable, request,
-                                         state_exit_code,
                                          wait_for_submission)
 
     try:
@@ -702,25 +695,14 @@ def _local_results(args) -> int:
     matrix, code = _campaign_matrix(args)
     if matrix is None:
         return code
-    runner = CampaignRunner(cache_dir=args.cache_dir)
-    status = runner.status(matrix)
-    if not status.started:
-        return _print_results(args.campaign, {
-            "state": "not-started", "completed": 0,
-            "total": status.total})
-    summary = runner.report(matrix)
-    state = "complete" if status.done else \
-        ("quarantined" if status.failed else "partial")
-    return _print_results(args.campaign, {
-        "state": state, "completed": status.completed,
-        "total": status.total, "quarantined": status.quarantined,
-        "summary": summary})
+    return _print_results(args.campaign, CampaignRunner(
+        cache_dir=args.cache_dir).results(matrix))
 
 
 def _print_results(campaign: str, response: Dict[str, Any]) -> int:
     """Render a results payload; exit code mirrors ``campaign run``
     (not-started counts as partial — nothing is complete yet)."""
-    from repro.campaigns.service import state_exit_code
+    from repro.campaigns.runner import state_exit_code
 
     state = response.get("state", "error")
     print(f"{campaign}: {response.get('completed', 0)}/"
@@ -730,8 +712,6 @@ def _print_results(campaign: str, response: Dict[str, Any]) -> int:
         rows = [[key, _format_cell(summary["aggregates"][key])]
                 for key in summary["metrics"]]
         print(format_table(["metric", "mean"], rows))
-    if state == "not-started":
-        return 3
     return state_exit_code(state)
 
 

@@ -16,6 +16,7 @@ from repro.channel.mobility import WalkingTrajectory
 from repro.experiments.api import register_experiment
 from repro.phy.rates import RATE_TABLE
 from repro.phy.snr import db_to_linear
+from repro.sim.topology import check_duration
 from repro.traces.analytic import coded_ber
 
 __all__ = ["Fig1Data", "run_fig1"]
@@ -74,6 +75,7 @@ def _metrics(data: Fig1Data) -> dict:
 def run_fig1(seed: int = 1, detail_start: float = 4.0,
              duration: float = 10.0) -> Fig1Data:
     """Generate the Fig. 1 panels from one walking trajectory."""
+    check_duration(duration)
     rng = np.random.default_rng(seed)
     trajectory = WalkingTrajectory(rng, start_distance=5.0)
     bpsk_half = RATE_TABLE.prototype_subset()[0]

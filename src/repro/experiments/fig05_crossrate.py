@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.channel.mobility import WalkingTrajectory
 from repro.experiments.api import register_experiment
+from repro.sim.topology import check_duration
 from repro.traces.format import LinkTrace
 from repro.traces.generate import generate_fading_trace
 
@@ -82,6 +83,7 @@ def _metrics(data: Fig5Data) -> dict:
 def run_fig5(seed: int = 5, duration: float = 10.0,
              trace: LinkTrace = None) -> Fig5Data:
     """Collect cross-rate BER pairs from a walking trace."""
+    check_duration(duration)
     if trace is None:
         rng = np.random.default_rng(seed)
         trajectory = WalkingTrajectory(rng, start_distance=5.0)

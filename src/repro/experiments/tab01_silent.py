@@ -22,7 +22,7 @@ from repro.phy.rates import RATE_TABLE
 from repro.rateadapt.base import RateAdapter
 from repro.sim.eventsim import Simulator
 from repro.sim.mac import MacConfig, Station
-from repro.sim.topology import make_airtime_fn
+from repro.sim.topology import check_duration, make_airtime_fn
 from repro.sim.udp import UdpSource
 from repro.sim.wireless import WirelessChannel
 from repro.traces.synthetic import constant_trace
@@ -78,6 +78,7 @@ def run_silent_loss_experiment(frame_bytes: Tuple[int, int] = (1400, 1400),
         duration: simulated seconds.
         seed: RNG seed.
     """
+    check_duration(duration)
     rates = RATE_TABLE.prototype_subset()
     sim = Simulator()
     rng = np.random.default_rng(seed)
@@ -119,7 +120,7 @@ def run_silent_loss_experiment(frame_bytes: Tuple[int, int] = (1400, 1400),
                 adapter_factory=lambda peer: _RandomRate(
                     rates, np.random.default_rng(0)),
                 airtime_fn=airtime, config=config)
-        source = UdpSource(sim, flow=sender,
+        source = UdpSource(flow=sender,
                            transmit=lambda d, s=station, rx=receiver:
                            s.send(rx, d, d.size_bits),
                            size_bytes=size)
@@ -128,7 +129,7 @@ def run_silent_loss_experiment(frame_bytes: Tuple[int, int] = (1400, 1400),
         sources[sender] = source
 
     for source in sources.values():
-        source.start()
+        source.pump()
     sim.run_until(duration)
 
     silent_fraction = {}

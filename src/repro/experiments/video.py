@@ -42,7 +42,8 @@ from repro.analysis.metrics import (deadline_miss_ratio,
 from repro.core.hints import error_probabilities
 from repro.experiments.api import register_experiment
 from repro.phy.backend import get_backend
-from repro.recovery.rateless import RatelessDecoder, RatelessEncoder
+from repro.recovery.rateless import (RatelessDecoder, RatelessEncoder,
+                                     salvage_symbols)
 from repro.traces.video import generate_video_trace, reference_video_trace
 from repro.traces.workloads import link_traces
 
@@ -189,17 +190,13 @@ def _run_rateless(video, streamer: _Streamer, symbol_bits: int,
             # body estimate is the sent bits with the channel's error
             # positions flipped; chunk confidence comes from the
             # SoftPHY hints over the same positions.
-            p = error_probabilities(out.hints)
-            for offset, index in enumerate(indices):
-                sl = slice(offset * symbol_bits,
-                           (offset + 1) * symbol_bits)
-                chunk_p = p[sl]
-                if float(chunk_p.mean()) > salvage_max_error_prob:
-                    continue
-                bits = payload[sl] ^ out.error_mask[sl]
-                weight = float(np.prod(1.0 - chunk_p))
-                dec.add(index, bits, weight=weight)
-                salvaged_weight += weight
+            for chunk in salvage_symbols(
+                    payload ^ out.error_mask[:payload_bits],
+                    error_probabilities(out.hints)[:payload_bits],
+                    symbol_bits, salvage_max_error_prob):
+                dec.add(indices[chunk.chunk], chunk.bits,
+                        weight=chunk.weight)
+                salvaged_weight += chunk.weight
                 symbols_received += 1
         if dec.decodable:
             decoded = dec.decode()

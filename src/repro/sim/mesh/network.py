@@ -36,7 +36,7 @@ from repro.sim.mac import FrameLogEntry, MacConfig
 from repro.sim.mesh.forwarding import MeshNode
 from repro.sim.mesh.geometry import LinearPath, MeshGeometry
 from repro.sim.mesh.radio import MeshChannel
-from repro.sim.topology import make_airtime_fn
+from repro.sim.topology import check_duration, make_airtime_fn
 
 __all__ = ["CLIENT_ID", "MeshNetwork", "MeshResult",
            "run_mesh_scenario"]
@@ -234,6 +234,7 @@ class MeshNetwork:
 
     def run(self, duration: float) -> MeshResult:
         """Flood client -> sink for ``duration`` seconds."""
+        check_duration(duration)
         self.sim.schedule(self.scan_interval, self._scan)
         self._refill()
         self.sim.run_until(duration)

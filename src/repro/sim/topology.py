@@ -12,6 +12,7 @@ figures.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -270,9 +271,13 @@ def check_duration(duration: float) -> None:
     generation.
 
     Raises:
-        ValueError: ``duration`` is zero, negative, NaN or infinite.
+        ValueError: ``duration`` is not a real number (``None``, a
+            string, a ``bool``), or is zero, negative, NaN or
+            infinite.
     """
-    if not 0 < duration < np.inf:
+    if isinstance(duration, bool) \
+            or not isinstance(duration, numbers.Real) \
+            or not 0 < duration < np.inf:
         raise ValueError(f"duration must be positive and finite, got "
                          f"{duration!r}")
 

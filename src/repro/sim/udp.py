@@ -8,9 +8,7 @@ sources that keep the MAC queue non-empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-from repro.sim.eventsim import Simulator
+from typing import Callable
 
 __all__ = ["Datagram", "UdpSource"]
 
@@ -29,44 +27,26 @@ class Datagram:
 
 
 class UdpSource:
-    """A saturated or constant-bit-rate datagram source.
+    """A saturated datagram source.
 
     Args:
-        sim: event engine.
         flow: flow identifier.
         transmit: callback accepting each datagram; must return True
             if the packet was accepted (queue not full).
         size_bytes: datagram payload size.
-        interval: seconds between datagrams; ``None`` means saturated
-            (a new datagram is offered whenever :meth:`pump` is
-            called, which the MAC does each time its queue drains).
+
+    A new datagram is offered whenever :meth:`pump` is called, which
+    the MAC does each time its queue drains.
     """
 
-    def __init__(self, sim: Simulator, flow: int,
-                 transmit: Callable[[Datagram], bool],
-                 size_bytes: int = 1400,
-                 interval: Optional[float] = None):
+    def __init__(self, flow: int, transmit: Callable[[Datagram], bool],
+                 size_bytes: int = 1400):
         if size_bytes <= 0:
             raise ValueError("datagram size must be positive")
-        if interval is not None and interval <= 0:
-            raise ValueError("interval must be positive")
-        self.sim = sim
         self.flow = flow
         self._transmit = transmit
         self.size_bytes = size_bytes
-        self.interval = interval
         self.sent = 0
-
-    def start(self) -> None:
-        """Begin generating traffic."""
-        if self.interval is None:
-            self.pump()
-        else:
-            self._tick()
-
-    def _tick(self) -> None:
-        self._offer()
-        self.sim.schedule(self.interval, self._tick)
 
     def _offer(self) -> bool:
         accepted = self._transmit(Datagram(flow=self.flow, seq=self.sent,
@@ -78,11 +58,9 @@ class UdpSource:
     def pump(self, target_backlog: int = 4) -> None:
         """Offer datagrams until the stack below stops accepting.
 
-        Saturated mode only: the MAC calls this whenever its queue has
-        room, keeping ``target_backlog`` frames queued.
+        The MAC calls this whenever its queue has room, keeping
+        ``target_backlog`` frames queued.
         """
-        if self.interval is not None:
-            return
         for _ in range(target_backlog):
             if not self._offer():
                 return

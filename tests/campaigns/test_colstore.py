@@ -24,9 +24,9 @@ from repro.campaigns.checkpoint import (CheckpointCorruptionWarning,
                                         RecordWriter, check_record,
                                         make_record, read_jsonl,
                                         record_crc)
-from repro.campaigns.colstore import (ResultStore, StreamingSummary,
-                                      chunk_paths, read_chunk,
-                                      scan_chunks, write_chunk)
+from repro.campaigns.colstore import (ResultStore, chunk_paths,
+                                      read_chunk, scan_chunks,
+                                      write_chunk)
 from repro.campaigns.matrix import Axis, CampaignMatrix
 from repro.campaigns.runner import CampaignRunner
 from repro.experiments.api import _canonical_json
@@ -289,39 +289,6 @@ class TestChunkDamage:
         assert [i.kind for i in issues] == ["crc"]
         assert issues[0].line_no == 2           # 1-based row number
         assert [r["index"] for r in loaded] == [0, 2]
-
-
-class TestStreamingSummary:
-    def test_column_and_record_updates_agree(self, tmp_path):
-        metrics = [{"a": 1.0, "b": float("nan")},
-                   {"a": 3.0, "x_digest": 9.0},
-                   {"b": 2.0}]
-        records = [_record(i, m) for i, m in enumerate(metrics)]
-        path = str(tmp_path / "columns-s-00000000.npz")
-        write_chunk(path, records)
-        per_record = StreamingSummary()
-        for record in read_chunk(path):
-            per_record.update(record["metrics"])
-        vectorized = StreamingSummary()
-        with np.load(path) as data:
-            vectorized.update_columns(
-                [str(n) for n in data["metric_names"]],
-                data["metric_values"], data["metric_present"])
-        assert per_record.count == vectorized.count == 3
-        assert per_record.aggregates() == vectorized.aggregates() \
-            == {"a": 2.0, "b": 2.0}             # NaN and digest skipped
-
-    def test_stream_aggregates_covers_chunks_and_tail(self, tmp_path):
-        store = ResultStore(_matrix(), cache_dir=str(tmp_path),
-                            chunk_records=2)
-        writer = store.writer("0of1")
-        writer.__enter__()
-        for i in range(5):                      # 2 chunks + 1 in tail
-            writer.append(_record(i, {"m": float(i)}))
-        summary = store.stream_aggregates()
-        assert summary.count == 5
-        assert summary.aggregates() == {"m": 2.0}
-        writer.__exit__(None, None, None)
 
 
 class TestBackendParity:

@@ -7,8 +7,9 @@ files, ``quarantine.jsonl``, the service's ``queue.jsonl`` and sealed
 npz chunks.  The other is the service socket's JSON requests.  For
 arbitrary byte lines, arbitrary JSON objects and objects with the
 right keys but arbitrary field values, the readers (``scan``,
-``load_quarantine``, ``replay``, ``campaign verify``, the writer's
-reseal on open) and ``CampaignService._dispatch`` must return
+``load_quarantine``, ``replay``, the runner's live ``status``,
+``campaign verify``, the writer's reseal on open) and
+``CampaignService._dispatch`` must return
 normally.  Damage is reported once per damaged line or unreadable
 chunk; the logs skip it.
 """
@@ -23,7 +24,7 @@ import warnings
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.campaigns import ResultStore, get_campaign
+from repro.campaigns import CampaignRunner, ResultStore, get_campaign
 from repro.campaigns.checkpoint import (check_record, make_record,
                                         read_jsonl)
 from repro.campaigns.colstore import tail_paths
@@ -150,14 +151,14 @@ def test_store_readers_classify_every_damaged_line(
 
     entries = store.load_quarantine()
     assert all(isinstance(e["index"], int) for e in entries)
+    cache_dir = os.path.dirname(os.path.dirname(store.directory))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        store.stream_aggregates()
+        CampaignRunner(cache_dir=cache_dir).status(MATRIX)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["campaign", "verify", MATRIX.name,
-                         "--cache-dir", os.path.dirname(
-                             os.path.dirname(store.directory))])
+                         "--cache-dir", cache_dir])
         assert code in (0, 1)
 
         # The next writer on the label seals the tail's valid records

@@ -14,7 +14,8 @@ import pytest
 from repro.campaigns import (CampaignRunner, ResultStore,
                              get_campaign)
 from repro.campaigns.matrix import Axis, CampaignMatrix
-from repro.campaigns.runner import CampaignStatus, parse_shard
+from repro.campaigns.runner import (CampaignStatus, parse_shard,
+                                    state_exit_code)
 
 
 def _matrix(replicates=2):
@@ -60,6 +61,24 @@ class TestCampaignStatus:
                                completed=6, directory=str(tmp_path),
                                quarantined=2)
         assert stuck.pending == 2 and stuck.failed and not stuck.done
+
+    @pytest.mark.parametrize("fields, state, code", [
+        (dict(completed=0, started=False), "not-started", 3),
+        (dict(completed=8), "complete", 0),
+        (dict(completed=8, quarantined=1), "complete", 0),
+        (dict(completed=6, quarantined=2), "quarantined", 4),
+        (dict(completed=6), "partial", 3),
+        (dict(completed=0), "partial", 3),
+    ])
+    def test_state_and_exit_code(self, tmp_path, fields, state, code):
+        status = CampaignStatus(name="s", digest="d", total=8,
+                                directory=str(tmp_path), **fields)
+        assert status.state == state
+        assert state_exit_code(status.state) == code
+
+    def test_states_outside_the_table_exit_1(self):
+        assert state_exit_code("error") == 1
+        assert state_exit_code("definitely-not-a-state") == 1
 
 
 class TestRunnerValidation:

@@ -18,12 +18,17 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
-from repro.campaigns import (CampaignRunner, ResultStore,
-                             get_campaign, register_campaign)
+from repro.campaigns import (CampaignRunner, CheckpointCorruptionWarning,
+                             ResultStore, get_campaign,
+                             register_campaign)
+from repro.campaigns.checkpoint import RecordWriter, make_record
+from repro.campaigns.colstore import write_chunk
 from repro.campaigns.faults import FAULT_KINDS
 from repro.campaigns.matrix import Axis, CampaignMatrix
 from repro.campaigns.service import (CampaignService, ServiceError,
@@ -364,6 +369,59 @@ class TestDurableQueue:
         assert payload["id"] == "sub-00001"
         assert payload["state"] == "partial"
         assert payload["options"] == {"jobs": 2}
+
+
+class TestLiveStatus:
+    def test_running_status_means_are_the_reports(self, tmp_path):
+        """A running submission's live means come from the checked
+        records of the current expansion, byte-equal to the report's:
+        duplicated, CRC-damaged and stale records count once, never
+        and never."""
+        store = ResultStore(CHAOS, cache_dir=str(tmp_path))
+        store.ensure()
+        scenarios = CHAOS.expand()
+
+        def record(i, mbps):
+            return make_record(scenarios[i], {"mbps": mbps}, 0.1)
+
+        def path(name):
+            return os.path.join(store.directory, name)
+
+        # Sealed, then killed before the tail was truncated: the next
+        # writer on the label seals the same two records again.
+        sealed = [record(0, 1.0), record(1, 2.0)]
+        with RecordWriter(path("results-0of1.jsonl")) as out:
+            for rec in sealed:
+                out.append(rec)
+        write_chunk(path("columns-0of1-00000000.npz"), sealed)
+        with store.writer("0of1"):
+            pass
+        # A chunk row whose metric no longer matches its stored CRC.
+        stale_crc = record(3, 3.0)
+        stale_crc["metrics"]["mbps"] = 500.0
+        write_chunk(path("columns-b-00000000.npz"),
+                    [record(2, 4.0), stale_crc])
+        # A record of a scenario outside the current expansion.
+        outside = make_record(SimpleNamespace(
+            scenario_id="0123456789abcdef", index=99, seed=5,
+            params={"x": 9, "y": 0.5}), {"mbps": 1000.0}, 0.1)
+        with RecordWriter(path("results-c.jsonl")) as out:
+            out.append(record(4, 8.0))
+            out.append(outside)
+
+        service = CampaignService(cache_dir=str(tmp_path))
+        service._submissions["sub-00001"] = Submission(
+            id="sub-00001", campaign=CHAOS.name, state="running")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CheckpointCorruptionWarning)
+            live = service._op_status({"id": "sub-00001"})
+            summary = CampaignRunner(cache_dir=str(tmp_path)).report(
+                CHAOS, write=False)
+        assert live["ok"] and live["state"] == "running"
+        assert live["completed"] == summary["completed"] == 4
+        assert json.dumps(live["aggregates"]) \
+            == json.dumps(summary["aggregates"]) \
+            == json.dumps({"mbps": 3.75})
 
 
 class TestEmptyStatusRegression:

@@ -332,6 +332,17 @@ class TestOutOfRangeInputs:
         # was retried twice.
         ["run", "cell", "--set", "duration=nan", "--no-cache"],
         ["run", "fig16", "--set", "duration=inf", "--no-cache"],
+        # A duration that is not a number raised TypeError, which was
+        # retried twice.
+        ["run", "cell", "--set", "duration=None", "--no-cache"],
+        ["run", "fig13", "--set", "duration='5'",
+         "--set", "client_counts=(1,)", "--no-cache"],
+        ["run", "fig05", "--set", "duration=None", "--no-cache"],
+        # These checked no duration: exit 0 with all-zero or NaN
+        # metrics (mesh at 0 raised ZeroDivisionError three times).
+        ["run", "tab01", "--set", "duration=0", "--no-cache"],
+        ["run", "mesh", "--set", "duration=nan", "--no-cache"],
+        ["run", "fig01", "--set", "duration=-1", "--no-cache"],
     ])
     def test_exits_2_with_one_error_line(self, argv, monkeypatch):
         def generated(*_args, **_kwargs):
