@@ -341,7 +341,9 @@ class ResultStore:
         id; duplicates across files keep the first parsed copy
         (byte-identical by determinism, so the choice cannot matter).
         Tail records come first: a record seen there is at least as
-        fresh as a sealed copy of it.
+        fresh as a sealed copy of it.  Damage other than a torn tail
+        line raises a :class:`CheckpointCorruptionWarning`,
+        attributed to the caller.
         """
         records: List[Dict[str, Any]] = []
         issues: List[CheckpointIssue] = []
@@ -353,7 +355,18 @@ class ResultStore:
         by_id: Dict[str, Dict[str, Any]] = {}
         for record in records + chunked:
             by_id.setdefault(record["scenario_id"], record)
-        return by_id, issues + damage
+        issues += damage
+        damaged = [i for i in issues if i.kind != "torn"]
+        if damaged:
+            heads = "; ".join(
+                f"{os.path.basename(i.path)}:{i.line_no} [{i.kind}]"
+                for i in damaged[:3])
+            warnings.warn(
+                f"{self.matrix.name}: skipped {len(damaged)} corrupt "
+                f"checkpoint record(s) ({heads}); the affected "
+                f"scenarios will be recomputed",
+                CheckpointCorruptionWarning, stacklevel=2)
+        return by_id, issues
 
     def load_records(self) -> Dict[str, Dict[str, Any]]:
         """All loadable records, keyed by scenario id.
@@ -365,18 +378,7 @@ class ResultStore:
         scenario is recomputed on the next run instead of crashing
         the read.
         """
-        records, issues = self.scan()
-        damaged = [i for i in issues if i.kind != "torn"]
-        if damaged:
-            heads = "; ".join(
-                f"{os.path.basename(i.path)}:{i.line_no} [{i.kind}]"
-                for i in damaged[:3])
-            warnings.warn(
-                f"{self.matrix.name}: skipped {len(damaged)} corrupt "
-                f"checkpoint record(s) ({heads}); the affected "
-                f"scenarios will be recomputed",
-                CheckpointCorruptionWarning, stacklevel=2)
-        return records
+        return self.scan()[0]
 
     def completed_ids(self) -> set:
         """Scenario ids that already have a checkpointed record."""
@@ -407,10 +409,6 @@ class ResultStore:
                                     _check_quarantine)
         entries = {entry["scenario_id"]: entry for _, entry in items}
         return sorted(entries.values(), key=lambda e: e["index"])
-
-    def quarantined_ids(self) -> set:
-        """Scenario ids currently in quarantine."""
-        return {e["scenario_id"] for e in self.load_quarantine()}
 
     def clear_quarantine(self) -> None:
         """Drop the quarantine (a rerun will retry those scenarios)."""

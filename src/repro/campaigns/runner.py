@@ -42,7 +42,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, \
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+                    Set, Tuple)
 
 from repro.analysis.aggregate import aggregate_metrics, group_rows
 from repro.campaigns.checkpoint import make_record, write_json_atomic
@@ -54,8 +54,8 @@ from repro.core.mix import uniform01
 from repro.experiments.api import (ExperimentExecutionError,
                                    _canonical, execute_task)
 
-__all__ = ["CampaignRunner", "CampaignStatus", "parse_shard",
-           "state_exit_code"]
+__all__ = ["CampaignRunner", "CampaignStatus", "active_quarantine",
+           "parse_shard", "state_exit_code"]
 
 #: The exit-code contract of ``repro campaign run``, ``results`` and
 #: ``submit``: 0 = every scenario checkpointed, 3 = scenarios pending
@@ -69,6 +69,14 @@ def state_exit_code(state: str) -> int:
     """The CLI exit code of a campaign or submission state; any other
     state (the service's ``error``) exits 1."""
     return _STATE_EXIT_CODES.get(state, 1)
+
+
+def active_quarantine(entries: Sequence[Dict[str, Any]],
+                      pending: Set[str]) -> Set[str]:
+    """Scenario ids of the quarantine ``entries`` still ``pending``:
+    the scenarios :attr:`CampaignStatus.quarantined` counts (a
+    scenario that completed since is recovered)."""
+    return {e["scenario_id"] for e in entries} & pending
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -271,7 +279,8 @@ class CampaignRunner:
         return self.retry_backoff_s * (2 ** attempt) * jitter
 
     def _status(self, matrix: CampaignMatrix, store: ResultStore,
-                scenarios: Optional[Sequence[CampaignScenario]] = None
+                scenarios: Optional[Sequence[CampaignScenario]] = None,
+                records: Optional[Dict[str, Dict[str, Any]]] = None
                 ) -> CampaignStatus:
         """Progress of ``matrix`` from one read of ``store``.
 
@@ -279,7 +288,8 @@ class CampaignRunner:
         expanded here unless the caller already did): scenario ids
         fold in experiment defaults and the surrogate calibration
         fingerprint, so records can go stale (and get recomputed)
-        without the matrix digest changing.
+        without the matrix digest changing.  ``records`` is the
+        caller's read of ``store``, made here if not given.
         """
         if not os.path.isdir(store.directory):
             # Never-run campaigns answer from the matrix alone — no
@@ -290,7 +300,8 @@ class CampaignRunner:
                 directory=store.directory, started=False)
         if scenarios is None:
             scenarios = matrix.expand()
-        records = store.load_records()
+        if records is None:
+            records = store.load_records()
         completed = [records[s.scenario_id]["metrics"]
                      for s in scenarios if s.scenario_id in records]
         pending = {s.scenario_id for s in scenarios} - set(records)
@@ -298,7 +309,8 @@ class CampaignRunner:
             name=matrix.name, digest=matrix.digest(),
             total=matrix.total_scenarios(), completed=len(completed),
             directory=store.directory,
-            quarantined=len(store.quarantined_ids() & pending),
+            quarantined=len(active_quarantine(store.load_quarantine(),
+                                              pending)),
             aggregates=_means(completed)[1])
 
     # -- public API ---------------------------------------------------
@@ -598,11 +610,19 @@ class CampaignRunner:
         ``store.summary_path``.
         """
         store = ResultStore(matrix, cache_dir=self.cache_dir)
-        records = store.load_records()
+        return self._report(matrix, store, matrix.expand(),
+                            store.load_records(), group_by, write)
+
+    def _report(self, matrix: CampaignMatrix, store: ResultStore,
+                scenarios: Sequence[CampaignScenario],
+                records: Dict[str, Dict[str, Any]],
+                group_by: Optional[Sequence[str]] = None,
+                write: bool = True) -> Dict[str, Any]:
+        """:meth:`report` from the caller's expansion and store read."""
         varied = matrix.varied_parameters()
         rows: List[Dict[str, Any]] = []
         ordered_metrics: List[Dict[str, float]] = []
-        for scenario in matrix.expand():
+        for scenario in scenarios:
             record = records.get(scenario.scenario_id)
             if record is None:
                 continue
@@ -650,10 +670,18 @@ class CampaignRunner:
         ``summary`` (:meth:`report`) — the payload ``repro campaign
         results`` prints, whether a service or the local store
         answers."""
-        status = self.status(matrix)
+        store = ResultStore(matrix, cache_dir=self.cache_dir)
+        summary = None
+        if os.path.isdir(store.directory):
+            # One expansion and one store read serve both answers.
+            scenarios, records = matrix.expand(), store.load_records()
+            status = self._status(matrix, store, scenarios, records)
+            summary = self._report(matrix, store, scenarios, records)
+        else:
+            status = self._status(matrix, store)
         payload: Dict[str, Any] = {
             "state": status.state, "completed": status.completed,
             "total": status.total, "quarantined": status.quarantined}
-        if status.started:
-            payload["summary"] = self.report(matrix)
+        if summary is not None:
+            payload["summary"] = summary
         return payload

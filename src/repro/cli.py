@@ -460,7 +460,8 @@ def _cmd_campaign_run(args) -> int:
 
 
 def _cmd_campaign_verify(args) -> int:
-    from repro.campaigns import CampaignRunner, ResultStore
+    from repro.campaigns import ResultStore
+    from repro.campaigns.runner import active_quarantine
 
     matrix, code = _campaign_matrix(args)
     if matrix is None:
@@ -468,7 +469,8 @@ def _cmd_campaign_verify(args) -> int:
     store = ResultStore(matrix, cache_dir=args.cache_dir)
     records, issues = store.scan()
     current = {s.scenario_id for s in matrix.expand()}
-    valid = len(set(records) & current)
+    done = set(records) & current
+    valid = len(done)
     stale = len(set(records) - current)
     torn = sum(1 for i in issues if i.kind == "torn")
     corrupt = [i for i in issues if i.kind != "torn"]
@@ -481,18 +483,17 @@ def _cmd_campaign_verify(args) -> int:
         import os as _os
         print(f"  corrupt: {_os.path.basename(issue.path)}:"
               f"{issue.line_no} [{issue.kind}] {issue.detail}")
-    quarantine = CampaignRunner(cache_dir=args.cache_dir).status(matrix)
     entries = store.load_quarantine()
+    quarantined = len(active_quarantine(entries, current - set(records)))
     if entries:
-        done = set(records) & current
-        print(f"quarantine: {quarantine.quarantined} active entry(s)")
+        print(f"quarantine: {quarantined} active entry(s)")
         for entry in entries:
             state = "recovered" if entry["scenario_id"] in done \
                 else "active"
             print(f"  #{entry['index']} ({entry['scenario_id']}) "
                   f"[{state}] {entry.get('kind', '?')}: "
                   f"{entry.get('error', '')}")
-    if corrupt or quarantine.quarantined:
+    if corrupt or quarantined:
         return 1
     return 0
 

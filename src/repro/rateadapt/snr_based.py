@@ -30,7 +30,7 @@ from repro.core.feedback import Feedback
 from repro.phy.rates import RateTable
 from repro.phy.snr import db_to_linear
 from repro.rateadapt.base import RateAdapter
-from repro.traces.analytic import frame_loss_probability
+from repro.traces.analytic import coded_ber, loss_probability
 from repro.traces.format import LinkTrace
 
 __all__ = ["SnrBasedAdapter", "train_snr_thresholds",
@@ -48,16 +48,15 @@ def theoretical_snr_thresholds(rates: RateTable,
     if not 0 < target_loss < 1:
         raise ValueError("target loss must be in (0, 1)")
     grid = np.arange(-5.0, 40.0, 0.1)
+    # One one-symbol frame per grid point.  Each point converts on its
+    # own: numpy's array power rounds differently from the scalar one.
+    frames = np.array([[db_to_linear(snr_db)] for snr_db in grid])
     thresholds = []
     for rate in rates:
-        threshold = float("inf")
-        for snr_db in grid:
-            loss = frame_loss_probability(
-                rate, np.array([db_to_linear(snr_db)]), payload_bits)
-            if loss <= target_loss:
-                threshold = float(snr_db)
-                break
-        thresholds.append(threshold)
+        loss = loss_probability(coded_ber(rate, frames), payload_bits)
+        hits = np.flatnonzero(loss <= target_loss)
+        thresholds.append(float(grid[hits[0]]) if hits.size
+                          else float("inf"))
     return thresholds
 
 

@@ -18,44 +18,32 @@ network-scale traces:
 pipeline: the predicted waterfall curves must match the measured ones
 to within a fraction of a dB.
 
-``scipy.special`` (``erfc``/``erfcinv``) is imported the first time
-the model is evaluated, not when this module is: every process that
-loads the experiment registry imports the trace layer, but only
-trace-driven ones evaluate the model, and the import costs ~0.3 s and
-~26 MB (scipy's array-API layer pulls in ``numpy.f2py``,
-``numpy.testing`` and ``numpy.ma``).  PHY-only processes therefore
-never load scipy.
+Q and its inverse come from :mod:`repro.traces.special`, a numpy port
+of the cephes ``erfc``/``erfcinv`` that ``scipy.special`` runs, equal
+to scipy's bit for bit.  No process of this package loads scipy,
+which would cost ~0.3 s and ~25 MB; scipy is the port's test oracle.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.phy.rates import Rate
+from repro.traces.special import erfc, erfcinv
 
 __all__ = ["uncoded_ber", "coded_ber", "frame_loss_probability",
            "loss_probability", "frame_ber"]
 
 
-@functools.cache
-def _erfc_pair():
-    """``(erfc, erfcinv)``, importing ``scipy.special`` on first use."""
-    from scipy.special import erfc, erfcinv
-    return erfc, erfcinv
-
-
 def _q_function(x: np.ndarray) -> np.ndarray:
     """The Gaussian tail function Q(x)."""
-    erfc, _ = _erfc_pair()
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
 def _q_inverse(p: np.ndarray) -> np.ndarray:
     """Inverse of Q, clipped away from 0 and 0.5 for stability."""
-    _, erfcinv = _erfc_pair()
     p = np.clip(np.asarray(p, dtype=np.float64), 1e-300, 0.5 - 1e-12)
     return np.sqrt(2.0) * erfcinv(2.0 * p)
 

@@ -190,7 +190,9 @@ class TestIntegrity:
         bad = make_record(scenarios[1], {"m": 1.0}, 0.1)
         bad["metrics"] = "oops"
         _rewrite_line(path, 2, json.dumps(bad) + "\n")
-        _, issues = store.scan()                # scan itself is quiet
+        with pytest.warns(CheckpointCorruptionWarning,
+                          match="2 corrupt"):
+            _, issues = store.scan()
         assert [i.kind for i in issues] == ["schema", "schema"]
         with pytest.warns(CheckpointCorruptionWarning,
                           match="2 corrupt"):
@@ -225,7 +227,9 @@ class TestIntegrity:
         del legacy["crc"]
         legacy[field] = value
         _rewrite_line(path, 1, json.dumps(legacy) + "\n")
-        records, issues = store.scan()
+        with pytest.warns(CheckpointCorruptionWarning,
+                          match=r"\[schema\]"):
+            records, issues = store.scan()
         assert [(i.line_no, i.kind) for i in issues] == [(1, "schema")]
         assert set(records) == {s.scenario_id for s in scenarios[1:]}
 
@@ -258,7 +262,7 @@ class TestQuarantine:
         entries = store.load_quarantine()
         assert [e["index"] for e in entries] == [0, 2]
         assert entries[1]["kind"] == "crash"    # keep-last wins
-        assert store.quarantined_ids() == {"a", "b"}
+        assert {e["scenario_id"] for e in entries} == {"a", "b"}
 
     def test_clear_quarantine(self, tmp_path):
         store = ResultStore(_matrix(), cache_dir=str(tmp_path))
@@ -285,7 +289,8 @@ class TestQuarantine:
         with open(store.quarantine_path, "a") as fh:
             fh.write('{"scenario_id": "torn')
         store.append_quarantine({"scenario_id": "b", "index": 2})
-        assert store.quarantined_ids() == {"a", "b"}
+        assert {e["scenario_id"] for e in store.load_quarantine()} \
+            == {"a", "b"}
 
     def test_wrongly_typed_entries_are_skipped(self, tmp_path):
         store = ResultStore(_matrix(), cache_dir=str(tmp_path))

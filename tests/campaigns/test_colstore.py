@@ -250,7 +250,9 @@ class TestChunkDamage:
                           match=r"\[chunk\]"):
             records = store.load_records()
         assert len(records) == 4
-        _, issues = store.scan()
+        with pytest.warns(CheckpointCorruptionWarning,
+                          match=r"\[chunk\]"):
+            _, issues = store.scan()
         assert [i.kind for i in issues] == ["chunk"]
 
     def test_interior_chunk_damage_warns(self, tmp_path):
@@ -268,7 +270,9 @@ class TestChunkDamage:
             arrays = {k: data[k] for k in data.files}
         arrays["schema"] = np.array(["repro-colstore/999"])
         np.savez(chunks[0], **arrays)
-        _, issues = store.scan()
+        with pytest.warns(CheckpointCorruptionWarning,
+                          match=r"\[schema\]"):
+            _, issues = store.scan()
         assert [i.kind for i in issues] == ["schema"]
         assert "repro-colstore/999" in issues[0].detail
         assert rows                                 # was readable
@@ -276,7 +280,9 @@ class TestChunkDamage:
     def test_missing_columns_is_schema_issue(self, tmp_path):
         store, chunks = _write_chunks(tmp_path, n=2, chunk_records=2)
         np.savez(chunks[0], bogus=np.array([1]))
-        _, issues = store.scan()
+        with pytest.warns(CheckpointCorruptionWarning,
+                          match=r"\[schema\]"):
+            _, issues = store.scan()
         assert [i.kind for i in issues] == ["schema"]
         assert "missing columns" in issues[0].detail
 

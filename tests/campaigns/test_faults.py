@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.campaigns.checkpoint import RecordWriter, make_record
+from repro.campaigns.checkpoint import (CheckpointCorruptionWarning,
+                                        RecordWriter, make_record)
 from repro.campaigns.colstore import ResultStore, chunk_paths
 from repro.campaigns.faults import (EXECUTION_KINDS, FAULT_KINDS,
                                     PROCESS_KINDS, STORE_KINDS,
@@ -123,7 +124,8 @@ class TestStoreFaults:
             lines = [ln for ln in fh if ln.strip()]
         for line in lines:
             json.loads(line)                 # all still valid JSON
-        records, issues = store.scan()
+        with pytest.warns(CheckpointCorruptionWarning, match=r"\[crc\]"):
+            records, issues = store.scan()
         assert [i.kind for i in issues] == ["crc"]
         assert scenarios[1].scenario_id not in records
         assert len(records) == 2
@@ -138,7 +140,8 @@ class TestStoreFaults:
                                     scenario_index=1, seed=7),))
         notes = plan.apply_store_faults(store.directory)
         assert "flipped a digit" in notes[0]
-        records, issues = store.scan()
+        with pytest.warns(CheckpointCorruptionWarning, match=r"\[crc\]"):
+            records, issues = store.scan()
         assert [(i.line_no, i.kind) for i in issues] == [(2, "crc")]
         assert scenarios[1].scenario_id not in records
         assert len(records) == 2
@@ -148,7 +151,9 @@ class TestStoreFaults:
         plan = FaultPlan((FaultSpec("truncate-file", seed=3),))
         assert "cut chunk" in plan.apply_store_faults(
             store.directory)[0]
-        records, issues = store.scan()
+        with pytest.warns(CheckpointCorruptionWarning,
+                          match=r"\[chunk\]"):
+            records, issues = store.scan()
         assert records == {}
         assert [(os.path.basename(i.path), i.kind) for i in issues] \
             == [(os.path.basename(chunk_paths(store.directory)[0]),

@@ -24,7 +24,8 @@ import warnings
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.campaigns import CampaignRunner, ResultStore, get_campaign
+from repro.campaigns import (CampaignRunner, CheckpointCorruptionWarning,
+                             ResultStore, get_campaign)
 from repro.campaigns.checkpoint import (check_record, make_record,
                                         read_jsonl)
 from repro.campaigns.colstore import tail_paths
@@ -135,7 +136,12 @@ def test_store_readers_classify_every_damaged_line(
                           + [i.line_no for i in issues])
         assert verdicts == _occupied(lines)
 
-    records, issues = store.scan()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records, issues = store.scan()
+    # Damage other than a torn tail line is reported, once.
+    assert sum(issubclass(w.category, CheckpointCorruptionWarning)
+               for w in caught) == any(i.kind != "torn" for i in issues)
     seen = [(i.path, i.line_no) for i in issues]
     assert len(seen) == len(set(seen))
     for path in (tail_path, legacy_path):

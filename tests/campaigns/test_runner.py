@@ -232,6 +232,39 @@ class TestReport:
         with open(store.summary_path) as fh:
             assert json.load(fh)["completed"] == 12
 
+    def test_results_expand_and_read_the_store_once(self, tmp_path,
+                                                    monkeypatch):
+        """``results`` answers its status and its summary from one
+        matrix expansion and one store read, and both match the
+        separate ``status`` and ``report`` calls."""
+        runner = CampaignRunner(cache_dir=str(tmp_path))
+        runner.run(_matrix(), limit=5)
+        want_status = runner.status(_matrix())
+        want_summary = runner.report(_matrix())
+        calls = {"load_records": 0, "expand": 0}
+
+        def spy(cls, name):
+            real = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        spy(ResultStore, "load_records")
+        spy(CampaignMatrix, "expand")
+        payload = runner.results(_matrix())
+        assert calls == {"load_records": 1, "expand": 1}
+        assert payload == {"state": want_status.state, "completed": 5,
+                           "total": 12, "quarantined": 0,
+                           "summary": want_summary}
+
+    def test_results_of_a_campaign_never_run(self, tmp_path):
+        payload = CampaignRunner(
+            cache_dir=str(tmp_path)).results(_matrix())
+        assert payload == {"state": "not-started", "completed": 0,
+                           "total": 12, "quarantined": 0}
+        assert not os.listdir(str(tmp_path))
+
     def test_seed_fans_affect_metrics(self, tmp_path):
         """Replicates differ only in derived seed — and still produce
         different metrics, proving the seed actually lands."""

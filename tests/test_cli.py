@@ -374,6 +374,35 @@ class TestCampaignResilienceCLI:
         assert "[active] ExperimentExecutionError" in out
         assert "poison x=2" in out
 
+    def test_verify_reads_the_store_once(self, tmp_path, capsys,
+                                         monkeypatch):
+        """verify counts quarantined scenarios from its own scan, as
+        ``campaign status`` counts them."""
+        from repro.campaigns import ResultStore
+        from repro.campaigns.matrix import CampaignMatrix
+
+        _register_fragile_campaign()
+        cache = str(tmp_path / "cache")
+        main(["campaign", "run", "cli-fragile-camp", "--cache-dir",
+              cache, "--retries", "0"])
+        capsys.readouterr()
+        calls = {"scan": 0, "expand": 0}
+
+        def spy(cls, name):
+            real = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        spy(ResultStore, "scan")
+        spy(CampaignMatrix, "expand")
+        assert main(["campaign", "verify", "cli-fragile-camp",
+                     "--cache-dir", cache]) == 1
+        assert calls == {"scan": 1, "expand": 1}
+        assert "quarantine: 1 active entry(s)" in \
+            capsys.readouterr().out
+
     def test_verify_clean_store_exits_0(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         assert main(["campaign", "run", "smoke-tiny",

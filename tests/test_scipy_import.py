@@ -1,13 +1,14 @@
-"""Which processes load scipy.
+"""No repro process loads scipy.
 
-``scipy.special`` serves only the analytic trace model, and
-:mod:`repro.traces.analytic` imports it the first time the model is
-evaluated, which a generated trace does on the first read of its
-per-rate columns.  A process that reads none (the bit-exact PHY
-figures, ``thresholds``, ``list``, ``video`` on either PHY backend)
-therefore never loads scipy, which saves ~0.3 s and ~26 MB at
-start-up.  The test process already holds scipy (other tests import
-it), so every check runs in a fresh interpreter.
+numpy is the package's only runtime dependency: the analytic trace
+model evaluates ``erfc``/``erfcinv`` through the numpy port in
+:mod:`repro.traces.special`, and scipy serves the tests alone, as the
+oracle of that port and of the PHY's log-sum-exp.  Loading scipy would
+cost ~0.3 s and ~25 MB in every process.  The test process already
+holds scipy (other tests import it), so every check runs in a fresh
+interpreter, and a pooled campaign run goes further: it runs with a
+``scipy`` on its path that refuses to import, so no worker can load it
+either.
 """
 
 import os
@@ -20,14 +21,17 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
 
+def _env(*paths):
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (*paths, _SRC, os.environ.get("PYTHONPATH")) if p))
+
+
 def _loads_scipy(code, cwd):
     """Whether a fresh interpreter holds scipy after running ``code``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
     probe = code + "\nimport sys\nprint('scipy' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, timeout=300,
-                          env=env, cwd=cwd)
+                          env=_env(), cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()[-1] == "True"
 
@@ -52,18 +56,34 @@ def test_phy_only_processes_never_load_scipy(code, tmp_path):
     assert not _loads_scipy(code, str(tmp_path))
 
 
-def test_the_analytic_model_loads_scipy_on_first_use(tmp_path):
-    code = ("import sys\n"
-            "from repro.phy.rates import RATE_TABLE\n"
-            "from repro.traces.analytic import coded_ber\n"
-            "assert 'scipy' not in sys.modules\n"
-            "coded_ber(RATE_TABLE[0], 10.0)")
-    assert _loads_scipy(code, str(tmp_path))
+@pytest.mark.parametrize("code", [
+    "from repro.phy.rates import RATE_TABLE\n"
+    "from repro.traces.analytic import coded_ber\n"
+    "coded_ber(RATE_TABLE[0], 10.0)",
+    # The cell's rate-selection accuracy reads its first uplink's
+    # per-rate columns.
+    "from repro.experiments import api\n"
+    "api.run('cell', duration=0.05)",
+    "from repro.experiments import api\n"
+    "api.run('fig01', duration=0.2)",
+    "from repro.cli import main\n"
+    "assert main(['trace', '--duration', '0.05', 'trace.npz']) == 0",
+], ids=["coded_ber", "cell", "fig01", "trace"])
+def test_trace_driven_processes_never_load_scipy(code, tmp_path):
+    assert not _loads_scipy(code, str(tmp_path))
 
 
-def test_a_cell_reads_trace_columns_and_loads_scipy(tmp_path):
-    """The cell's rate-selection accuracy reads its first uplink's
-    per-rate columns."""
-    code = ("from repro.experiments import api\n"
-            "api.run('cell', duration=0.05)")
-    assert _loads_scipy(code, str(tmp_path))
+def test_a_pooled_campaign_runs_where_scipy_cannot_load(tmp_path):
+    """Its forked workers run cells, which evaluate the analytic
+    model; a worker that imported scipy would fail its scenario."""
+    stub = tmp_path / "stub" / "scipy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text(
+        "raise ImportError('scipy is not a runtime dependency')\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", "run", "smoke-tiny",
+         "--jobs", "2", "--cache-dir", str(tmp_path / "cache")],
+        capture_output=True, text=True, timeout=600,
+        env=_env(str(tmp_path / "stub")), cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "8/8" in proc.stdout
