@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -50,7 +50,7 @@ CAMPAIGN_BENCH_FILE = "BENCH_campaigns.json"
 DEFAULT_TOLERANCE = 0.10
 
 _PHY_SCHEMA = "repro-bench-phy/1"
-_CAMPAIGN_SCHEMA = "repro-bench-campaigns/5"
+_CAMPAIGN_SCHEMA = "repro-bench-campaigns/6"
 
 #: Measurement recipe embedded in BENCH_phy.json.
 DEFAULT_PHY_CONFIG = {
@@ -89,11 +89,6 @@ DEFAULT_CAMPAIGN_CONFIG = {
     "supervised_jobs": 2,
     "supervised_timeout_s": 120.0,
     "supervised_retries": 2,
-    # Ingestion series: one synthesized record stream appended as
-    # legacy JSONL lines and through the result store's WAL-tail
-    # writer (``chunk_records`` rows per sealed npz chunk).
-    "ingest_records": 512,
-    "ingest_chunk_records": 128,
     # Video series: the rateless half of the ``video`` experiment on
     # a tiny generated workload — fountain symbols accepted by the
     # decoder per wall second, the encode/salvage/row-reduce path.
@@ -189,35 +184,6 @@ def measure_phy(config: Optional[dict] = None) -> Dict[str, float]:
     }
 
 
-def _ingest_stream(n_records: int) -> List[Dict[str, Any]]:
-    """Synthesize ``n_records`` checkpoint records for the result-
-    store ingestion series.
-
-    Deterministic stand-ins with the shape of real scenario records
-    (a few params, a handful of float metrics, embedded CRC) so both
-    write paths pay their genuine per-record serialization and
-    durability costs.
-    """
-    from types import SimpleNamespace
-
-    from repro.campaigns.checkpoint import make_record
-
-    records = []
-    for i in range(int(n_records)):
-        scenario = SimpleNamespace(
-            scenario_id=f"bench-ingest-{i:06d}", index=i,
-            seed=0x5EED0000 + i,
-            params={"protocol": "softrate", "n_clients": 1 + i % 8,
-                    "duration": 0.5, "trial": i})
-        metrics = {"mbps": 1.0 + (i % 97) / 97.0,
-                   "loss_rate": (i % 13) / 13.0,
-                   "retry_rate": (i % 7) / 7.0,
-                   "fairness": 1.0 - (i % 29) / 290.0}
-        records.append(make_record(scenario, metrics,
-                                   elapsed_s=0.001 * (1 + i % 5)))
-    return records
-
-
 def measure_campaigns(config: Optional[dict] = None
                       ) -> Dict[str, float]:
     """Measure campaign-engine throughput on a stock smoke matrix.
@@ -242,15 +208,6 @@ def measure_campaigns(config: Optional[dict] = None
     oracle vs the slot-synchronous engine, reported as
     station-seconds-simulated per wall second plus their gated ratio
     ``slot_vs_event_speedup``.
-
-    Also measures the result-store series (``ingest_*`` config keys):
-    the same synthesized record stream appended as legacy JSONL
-    lines (a plain :class:`repro.campaigns.checkpoint.RecordWriter`)
-    and through the result store's chunk-sealing writer.  The gated
-    ratio ``colstore_ingest_ratio`` —
-    store records/sec over JSONL records/sec — pins the store's
-    per-record durability cost (tail fsync + periodic npz seal)
-    relative to the plain JSONL baseline on the same machine.
 
     Also measures the video series (``video_*`` config keys): the
     rateless half of the ``video`` experiment on a tiny generated
@@ -371,43 +328,6 @@ def measure_campaigns(config: Optional[dict] = None
     slot_s = _best_of(repeats, lambda: engine_pass("slot"))
     station_seconds = n_stations * horizon
 
-    # Result-store series: identical synthesized records as legacy
-    # JSONL lines and through the store's chunk-sealing writer.
-    from repro.campaigns.checkpoint import RecordWriter
-    from repro.campaigns.colstore import ResultStore
-
-    n_records = int(cfg.get("ingest_records", 512))
-    chunk_records = int(cfg.get("ingest_chunk_records", 128))
-    stream = _ingest_stream(n_records)
-
-    def store_pass(columnar: bool) -> float:
-        """Wall seconds to ingest the stream on one write path."""
-        with tempfile.TemporaryDirectory() as cache:
-            store = ResultStore(matrix, cache_dir=cache,
-                                chunk_records=chunk_records)
-            store.ensure()
-            start = time.perf_counter()
-            with (store.writer("bench") if columnar else RecordWriter(
-                    os.path.join(store.directory,
-                                 "results-bench.jsonl"))) as writer:
-                for record in stream:
-                    writer.append(record)
-            return time.perf_counter() - start
-
-    store_pass(True)                            # warm lazy imports
-    # Ingest is fsync-per-record on both paths, so its wall time
-    # tracks disk latency, which drifts minute to minute.  Measure
-    # the two paths back to back within each repeat and gate on
-    # the median paired ratio — a slow I/O window then hits both
-    # sides of one pair instead of skewing the ratio of two minima
-    # taken in different windows.
-    ingest_pairs = [(store_pass(False), store_pass(True))
-                    for _ in range(max(repeats, 1))]
-    jsonl_ingest_s = min(j for j, _ in ingest_pairs)
-    colstore_ingest_s = min(c for _, c in ingest_pairs)
-    paired_ratios = sorted(j / c for j, c in ingest_pairs)
-    ingest_ratio = paired_ratios[len(paired_ratios) // 2]
-
     # Video series: the rateless-over-PPR pipeline end to end on the
     # surrogate backend.  Symbols/sec covers fountain encode, the
     # PHY round trip, chunk salvage and the incremental GF(2) row
@@ -442,10 +362,6 @@ def measure_campaigns(config: Optional[dict] = None
         "event_station_seconds_per_sec": station_seconds / event_s,
         "slot_station_seconds_per_sec": station_seconds / slot_s,
         "slot_vs_event_speedup": event_s / slot_s,
-        "jsonl_ingest_records_per_sec": n_records / jsonl_ingest_s,
-        "colstore_ingest_records_per_sec":
-            n_records / colstore_ingest_s,
-        "colstore_ingest_ratio": ingest_ratio,
     }
 
 
@@ -454,8 +370,7 @@ _SUITES = {
             measure_phy, ("batched_speedup", "surrogate_speedup")),
     "campaigns": (CAMPAIGN_BENCH_FILE, _CAMPAIGN_SCHEMA,
                   DEFAULT_CAMPAIGN_CONFIG, measure_campaigns,
-                  ("colstore_ingest_ratio",
-                   "orchestration_efficiency",
+                  ("orchestration_efficiency",
                    "supervision_efficiency",
                    "slot_vs_event_speedup",
                    "video_symbols_per_sec")),

@@ -25,9 +25,9 @@ integrity on the checkpoint store — with a deterministic
 fault-injection harness (:mod:`repro.campaigns.faults`) proving the
 recovery guarantees.  See ``docs/resilience.md``.
 
-Records land in one :class:`ResultStore`: each is fsynced as a line
-of a write-ahead JSONL tail, then sealed into npz column chunks
-(:mod:`repro.campaigns.colstore`).  Progress answers
+Records land in one :class:`ResultStore`: each is one fsynced line
+of a JSONL record log (:mod:`repro.campaigns.checkpoint`, the one
+module that knows the on-disk format).  Progress answers
 (:class:`CampaignStatus`) and summaries read the same checked
 records.  Campaign *service mode* (:class:`CampaignService`,
 ``repro campaign serve``/``submit``) layers a long-running asyncio
@@ -39,8 +39,8 @@ run/status/report/verify/chaos/serve/submit/results``; see
 ``docs/campaigns.md`` for authoring matrices.
 """
 
-from repro.campaigns.checkpoint import CheckpointCorruptionWarning
-from repro.campaigns.colstore import ResultStore
+from repro.campaigns.checkpoint import (CheckpointCorruptionWarning,
+                                        ResultStore)
 from repro.campaigns.faults import (FaultInjectedError, FaultPlan,
                                     FaultSpec, chaos_wall)
 from repro.campaigns.matrix import (Axis, CampaignError, CampaignMatrix,

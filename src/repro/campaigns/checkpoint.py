@@ -1,4 +1,4 @@
-"""Campaign checkpoint records and the durable JSONL log they live in.
+"""The campaign result store: checkpoint records in fsynced JSONL logs.
 
 A checkpoint *record* is one completed scenario: its id, index, seed,
 canonical params and metrics, wall time, and a ``crc`` field — a
@@ -6,26 +6,52 @@ CRC-32 of its canonical JSON minus the field itself — so bit rot,
 partial flushes and editor accidents are *detected*, not silently
 aggregated.
 
-Every durable JSONL log in the campaign engine — the result store's
-write-ahead tail (:mod:`repro.campaigns.colstore`), its
+Each campaign gets a directory under ``{cache_dir}/campaigns/`` keyed
+by the matrix's content digest (:class:`ResultStore`), holding:
+
+* ``manifest.json`` — the matrix definition and scenario count.
+* ``results-{label}.jsonl`` — one record log per writer label, one
+  fsynced line per completed scenario.  One label (normally the shard
+  spec, e.g. ``2of8``) has at most one live writer; distinct labels
+  may append concurrently from different processes or machines
+  sharing the cache directory.
+* ``quarantine.jsonl`` — scenarios the supervised runner gave up on
+  after exhausting retries, with their captured tracebacks (see
+  :mod:`repro.campaigns.runner`).
+* ``summary.json`` — the tidy report (written by ``report``).
+
+Every durable JSONL log in the campaign engine — the record logs,
 ``quarantine.jsonl`` and the service's ``queue.jsonl``
 (:mod:`repro.campaigns.service`) — is written by one appender and read
 by one line reader:
 
 * :class:`RecordWriter` writes each object as one flushed, fsynced
-  line.  On open it truncates the torn trailing fragment a killed
-  writer leaves, so the fragment can neither swallow the next line
-  nor linger as interior damage.
+  line, so a kill at any instant loses at most the line in flight.
+  On open it truncates the torn trailing fragment a killed writer
+  leaves, so the fragment can neither swallow the next line nor
+  linger as interior damage.
 * :func:`read_jsonl` parses line by line and checks every object's
   field types (:func:`require`) before a caller sees it, so a
   damaged or hand-edited line becomes one :class:`CheckpointIssue`
   instead of a crash.
+
+:meth:`ResultStore.scan` reads every record log and deduplicates by
+scenario id, which determinism makes safe.  A damaged line other than
+a torn tail is skipped with a :class:`CheckpointCorruptionWarning`
+and stays in its log, where ``repro campaign verify`` keeps naming
+it; the affected scenario is recomputed on the next run.  Rerunning a
+campaign recomputes exactly the scenarios whose records never reached
+disk, and the summary is byte-identical to an uninterrupted run's,
+because records carry only deterministic content (timings are stored
+but excluded from summaries).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import warnings
 import zlib
 from dataclasses import dataclass
 from typing import IO, Any, Callable, Dict, List, Optional, Tuple
@@ -34,11 +60,14 @@ from repro.experiments.api import (_canonical, _decode_metrics,
                                    _canonical_json)
 
 __all__ = ["CheckpointCorruptionWarning", "CheckpointIssue",
-           "LineRejected", "RecordWriter", "check_record",
-           "make_record", "read_jsonl", "record_crc", "require",
-           "write_json_atomic"]
+           "LineRejected", "RecordWriter", "ResultStore",
+           "check_record", "log_paths", "make_record", "read_jsonl",
+           "record_crc", "require", "write_json_atomic"]
 
-#: Seeds and indices are stored in int64 chunk columns.
+#: The matrix derives 63-bit seeds
+#: (:func:`repro.campaigns.matrix.derive_scenario_seed`) and indices
+#: count scenarios, so the runner never writes a value outside int64:
+#: one there marks a damaged or hand-edited line.
 _INT64 = range(-2 ** 63, 2 ** 63)
 
 
@@ -88,15 +117,13 @@ def make_record(scenario, metrics: Dict[str, float],
 
 @dataclass(frozen=True)
 class CheckpointIssue:
-    """One damaged line or chunk found by a scan.
+    """One damaged line found by a scan.
 
     ``kind`` is ``"torn"`` (unparseable *trailing* line — the normal
     artifact of a killed writer), ``"json"`` (unparseable interior
-    line), ``"chunk"`` (unreadable column chunk), ``"schema"``
-    (parseable, but missing fields or holding wrong field types), or
-    ``"crc"`` (record whose checksum does not match its content).
-    ``line_no`` is 1-based for JSONL lines and the 1-based row number
-    for column-chunk rows (0 when the whole chunk is damaged).
+    line), ``"schema"`` (parseable, but missing fields or holding
+    wrong field types), or ``"crc"`` (record whose checksum does not
+    match its content).  ``line_no`` is 1-based.
     """
 
     path: str
@@ -259,3 +286,147 @@ class RecordWriter:
         self._fh.write("\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
+
+
+#: Fields a quarantine entry must hold for ``load_quarantine``.
+_check_quarantine = functools.partial(require, scenario_id=str,
+                                      index=int)
+
+
+def log_paths(directory: str) -> List[str]:
+    """The record logs (``results-*.jsonl``) under ``directory``,
+    sorted so reads are deterministic."""
+    if not os.path.isdir(directory):
+        return []
+    return sorted(
+        os.path.join(directory, name)
+        for name in os.listdir(directory)
+        if name.startswith("results-") and name.endswith(".jsonl"))
+
+
+class ResultStore:
+    """The on-disk state of one campaign (see the module docstring).
+
+    Example::
+
+        store = ResultStore(matrix, cache_dir=".repro-cache")
+        with store.writer("0of1") as out:
+            out.append(make_record(scenario, metrics, elapsed))
+        store.completed_ids()
+    """
+
+    def __init__(self, matrix, cache_dir: str = ".repro-cache"):
+        self.matrix = matrix
+        self.directory = os.path.join(
+            cache_dir, "campaigns",
+            f"{matrix.name}-{matrix.digest()}")
+
+    @property
+    def manifest_path(self) -> str:
+        """Path of the matrix-definition manifest."""
+        return os.path.join(self.directory, "manifest.json")
+
+    @property
+    def summary_path(self) -> str:
+        """Path the tidy report is written to."""
+        return os.path.join(self.directory, "summary.json")
+
+    @property
+    def quarantine_path(self) -> str:
+        """Path of the poison-scenario quarantine JSONL."""
+        return os.path.join(self.directory, "quarantine.jsonl")
+
+    def ensure(self) -> None:
+        """Create the campaign directory and manifest if missing."""
+        os.makedirs(self.directory, exist_ok=True)
+        if not os.path.exists(self.manifest_path):
+            manifest = dict(self.matrix.to_manifest())
+            manifest["digest"] = self.matrix.digest()
+            manifest["total_scenarios"] = \
+                self.matrix.total_scenarios()
+            write_json_atomic(self.manifest_path, manifest)
+
+    def writer(self, label: str) -> RecordWriter:
+        """Open one label's record log for appending."""
+        self.ensure()
+        return RecordWriter(os.path.join(self.directory,
+                                         f"results-{label}.jsonl"))
+
+    def scan(self) -> Tuple[Dict[str, Dict[str, Any]],
+                            List[CheckpointIssue]]:
+        """Read every record log in the directory, classifying damage
+        as it goes.
+
+        Returns ``(records, issues)`` with records keyed by scenario
+        id; duplicates across logs keep the first parsed copy
+        (byte-identical by determinism, so the choice cannot matter).
+        Damage other than a torn trailing line raises a
+        :class:`CheckpointCorruptionWarning`, attributed to the
+        caller.
+        """
+        by_id: Dict[str, Dict[str, Any]] = {}
+        issues: List[CheckpointIssue] = []
+        for path in log_paths(self.directory):
+            items, damage = read_jsonl(path, check_record)
+            for _line_no, record in items:
+                by_id.setdefault(record["scenario_id"], record)
+            issues += damage
+        damaged = [i for i in issues if i.kind != "torn"]
+        if damaged:
+            heads = "; ".join(
+                f"{os.path.basename(i.path)}:{i.line_no} [{i.kind}]"
+                for i in damaged[:3])
+            warnings.warn(
+                f"{self.matrix.name}: skipped {len(damaged)} corrupt "
+                f"checkpoint record(s) ({heads}); the affected "
+                f"scenarios will be recomputed",
+                CheckpointCorruptionWarning, stacklevel=2)
+        return by_id, issues
+
+    def load_records(self) -> Dict[str, Dict[str, Any]]:
+        """All loadable records, keyed by scenario id.
+
+        A torn trailing line (from a killed writer) is silently
+        dropped; every other damage (bad JSON, schema, CRC) is dropped
+        with a :class:`CheckpointCorruptionWarning` — either way the
+        affected scenario is recomputed on the next run instead of
+        crashing the read.
+        """
+        return self.scan()[0]
+
+    def completed_ids(self) -> set:
+        """Scenario ids that already have a checkpointed record."""
+        return set(self.load_records())
+
+    # -- quarantine ---------------------------------------------------
+
+    def append_quarantine(self, entry: Dict[str, Any]) -> None:
+        """Durably append one poison-scenario entry to
+        ``quarantine.jsonl``, so entries survive the same kills
+        checkpoint records do."""
+        self.ensure()
+        with RecordWriter(self.quarantine_path) as out:
+            out.append(entry)
+
+    def load_quarantine(self) -> List[Dict[str, Any]]:
+        """The quarantine entries, deduplicated and deterministically
+        ordered.
+
+        Later entries for the same scenario id win (a scenario can be
+        re-quarantined by a later run with a fresher traceback), and
+        the result is sorted by scenario index — so two runs that
+        quarantine the same scenarios list them identically regardless
+        of execution order.  Damaged lines, and entries without a
+        string ``scenario_id`` and an integer ``index``, are skipped.
+        """
+        items, _issues = read_jsonl(self.quarantine_path,
+                                    _check_quarantine)
+        entries = {entry["scenario_id"]: entry for _, entry in items}
+        return sorted(entries.values(), key=lambda e: e["index"])
+
+    def clear_quarantine(self) -> None:
+        """Drop the quarantine (a rerun will retry those scenarios)."""
+        try:
+            os.remove(self.quarantine_path)
+        except FileNotFoundError:
+            pass

@@ -15,13 +15,12 @@ Two fault families:
   scenario: ``raise`` (mid-execute exception), ``slow`` (sleep, then
   run normally), ``hang`` (sleep far past the supervision deadline),
   ``crash`` (``os._exit`` — the worker process dies without cleanup).
-* **Store faults** damage the checkpoint files after a run:
+* **Store faults** damage the record logs after a run:
   ``corrupt-record`` changes one digit inside a targeted scenario's
-  record, in a tail line or a sealed chunk row (valid JSON, wrong
-  CRC — exactly the corruption a per-record checksum exists to
-  catch), and ``truncate-file`` cuts a record file short: a tail
-  mid-line (the torn tail a killed writer leaves) or a chunk in half
-  (bit rot — chunks appear by atomic rename, so a kill cannot).
+  record line (valid JSON, wrong CRC — exactly the corruption a
+  per-record checksum exists to catch), and ``truncate-file`` cuts a
+  record log mid-line, leaving the torn tail a killed writer
+  leaves.
 
 Everything is keyed through :func:`repro.core.mix.mix64`, so a
 :class:`FaultPlan` built from ``(seed, kinds, scenario count)`` is a
@@ -38,10 +37,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.campaigns.checkpoint import check_record, read_jsonl
-from repro.campaigns.colstore import (ResultStore, chunk_paths,
-                                      read_chunk, tail_paths,
-                                      write_chunk)
+from repro.campaigns.checkpoint import (ResultStore, check_record,
+                                        log_paths, read_jsonl)
 from repro.core.mix import mix64
 
 __all__ = ["FaultSpec", "FaultPlan", "FaultInjectedError",
@@ -140,8 +137,8 @@ def _flip(digit: int) -> int:
 
 def _corrupt_line(path: str, line_no: int, spec: FaultSpec
                   ) -> Optional[str]:
-    """Flip one digit of a tail line, after its ``"metrics"`` key when
-    possible, keeping the line valid JSON."""
+    """Flip one digit of a record line, after its ``"metrics"`` key
+    when possible, keeping the line valid JSON."""
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
     line = lines[line_no - 1]
@@ -159,47 +156,15 @@ def _corrupt_line(path: str, line_no: int, spec: FaultSpec
             f"#{spec.scenario_index} in {os.path.basename(path)}")
 
 
-def _corrupt_row(path: str, rows: List[dict], row: dict,
-                 spec: FaultSpec) -> Optional[str]:
-    """Flip one digit of one of a chunk row's metric values, then
-    reseal the chunk with the row's stored (now stale) CRC."""
-    spots = [(name, i) for name, value in sorted(row["metrics"].items())
-             for i, char in enumerate(repr(value)) if char.isdigit()]
-    if not spots:
-        return None
-    name, pick = spots[mix64(spec.seed, spec.scenario_index)
-                       % len(spots)]
-    text = repr(row["metrics"][name])
-    row["metrics"][name] = float(
-        text[:pick] + str(_flip(int(text[pick]))) + text[pick + 1:])
-    write_chunk(path, rows)
-    return (f"corrupt-record: flipped a digit of metric {name!r} of "
-            f"scenario #{spec.scenario_index} in "
-            f"{os.path.basename(path)}")
-
-
 def _corrupt_record(directory: str, spec: FaultSpec) -> str:
-    """Change one digit in the targeted scenario's record, leaving
-    its stored CRC behind — the corruption only that CRC can catch.
-
-    A tail line keeps valid JSON; a sealed chunk row gets one digit of
-    a metric value changed and its chunk resealed.  Returns a
-    description of what was (or was not) done.
+    """Change one digit in the targeted scenario's record line,
+    leaving its stored CRC behind — the corruption only that CRC can
+    catch.  Returns a description of what was (or was not) done.
     """
-    for path in tail_paths(directory):
+    for path in log_paths(directory):
         for line_no, record in read_jsonl(path, check_record)[0]:
             if record["index"] == spec.scenario_index:
                 note = _corrupt_line(path, line_no, spec)
-                if note is not None:
-                    return note
-    for path in chunk_paths(directory):
-        try:
-            rows = read_chunk(path)
-        except Exception:
-            continue                    # already damaged
-        for row in rows:
-            if row["index"] == spec.scenario_index:
-                note = _corrupt_row(path, rows, row, spec)
                 if note is not None:
                     return note
     return (f"corrupt-record: no record for scenario "
@@ -207,23 +172,12 @@ def _corrupt_record(directory: str, spec: FaultSpec) -> str:
 
 
 def _truncate_file(directory: str, spec: FaultSpec) -> str:
-    """Cut a record file short.
-
-    A tail file loses its last complete record and keeps half of it
-    as a torn trailing fragment.  A sealed chunk is cut to half its
-    bytes — damage a kill cannot produce (chunks appear by rename)
-    but bit rot can, and the scan must absorb either way.
-    """
-    files = [p for p in tail_paths(directory)
-             if os.path.getsize(p) > 0] + chunk_paths(directory)
+    """Cut a non-empty record log mid-line: it loses its last record
+    and keeps half of it as a torn trailing fragment."""
+    files = [p for p in log_paths(directory) if os.path.getsize(p) > 0]
     if not files:
         return "truncate-file: no record files (nothing truncated)"
     path = files[mix64(spec.seed, 1) % len(files)]
-    if path.endswith(".npz"):
-        size = os.path.getsize(path)
-        os.truncate(path, max(size // 2, 1))
-        return (f"truncate-file: cut chunk "
-                f"{os.path.basename(path)} to half size")
     with open(path, "rb") as fh:
         data = fh.read()
     lines = [ln for ln in data.split(b"\n") if ln.strip()]

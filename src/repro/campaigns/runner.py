@@ -6,7 +6,7 @@ independent invocations — processes or machines sharing a cache
 directory — cover the matrix exactly).  Within a shard, scenarios that
 already have a checkpoint record are skipped; the rest run serially or
 over a process pool, and every completion is appended to the shard's
-write-ahead tail in the result store (:mod:`repro.campaigns.colstore`)
+record log in the result store (:mod:`repro.campaigns.checkpoint`)
 immediately, so progress survives any interruption.
 
 Because every scenario seeds its own RNGs from a derived seed, the
@@ -25,8 +25,10 @@ included) is a rejected parameterization, which fails the same way on
 every attempt, so it is quarantined at its first attempt.  Under a
 process pool, a per-scenario wall-clock watchdog kills hung workers
 and rebuilds the pool; a worker process dying outright
-(``BrokenProcessPool``) likewise triggers a rebuild, with the
-in-flight scenarios retried.  The fault-injection harness in
+(``BrokenProcessPool``) likewise triggers a rebuild.  The crash costs
+an attempt only to a scenario that was alone in flight: when several
+were, none is charged, and each requeues to run alone from then on,
+so its next crash is its own.  The fault-injection harness in
 :mod:`repro.campaigns.faults` exists to prove all of this: under every
 injected fault class a resumed campaign's summary is byte-identical
 to a fault-free run's (``tests/campaigns/test_chaos.py``).
@@ -45,8 +47,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Set, Tuple)
 
 from repro.analysis.aggregate import aggregate_metrics, group_rows
-from repro.campaigns.checkpoint import make_record, write_json_atomic
-from repro.campaigns.colstore import ResultStore
+from repro.campaigns.checkpoint import (ResultStore, make_record,
+                                        write_json_atomic)
 from repro.campaigns.faults import FaultPlan, FaultSpec
 from repro.campaigns.matrix import (CampaignError, CampaignMatrix,
                                     CampaignScenario)
@@ -466,6 +468,9 @@ class CampaignRunner:
         queue: deque = deque((s, 0, 0.0) for s in pending)
         outstanding: Dict[Future, Tuple[CampaignScenario, int,
                                         Optional[float]]] = {}
+        # Scenarios in flight beside others when a worker died: each
+        # runs with nothing else in flight, so a crash names it.
+        alone: Set[str] = set()
         pool = ProcessPoolExecutor(max_workers=workers)
 
         def retry(scenario: CampaignScenario, attempt: int,
@@ -487,14 +492,21 @@ class CampaignRunner:
                                      message, traceback_text, retry,
                                      rejected)
 
-        def drain_and_rebuild(reason: str) -> None:
+        def drain_and_rebuild(reason: str, crashed: Optional[
+                List[Tuple[CampaignScenario, int]]] = None) -> None:
             """Salvage every outstanding future, then replace the
-            pool: finished results are recorded, hung scenarios get a
-            timeout failure, crashed ones a crash failure, and
-            innocent in-flight scenarios requeue without an attempt
-            penalty."""
+            pool: finished results are recorded and hung scenarios get
+            a timeout failure.  After a hang, the other in-flight
+            scenarios requeue without an attempt penalty.  After a
+            worker died (``crashed`` lists the scenarios whose futures
+            reported it, possibly none yet), every scenario in flight
+            is a suspect: a lone suspect gets the crash failure, while
+            several requeue without a penalty to run alone from then
+            on."""
             nonlocal pool
             now = time.monotonic()
+            suspects = list(crashed or ())
+            bystanders = []
             for future, (scenario, attempt, deadline) in \
                     list(outstanding.items()):
                 del outstanding[future]
@@ -503,10 +515,7 @@ class CampaignRunner:
                         handle_outcome(scenario, attempt,
                                        future.result())
                     except BrokenProcessPool:
-                        self._handle_failure(
-                            store, scenario, attempt, "crash",
-                            "worker process died mid-scenario", "",
-                            retry)
+                        suspects.append((scenario, attempt))
                     except Exception as exc:
                         self._harness_error(store, scenario, exc)
                 elif deadline is not None and now >= deadline:
@@ -515,7 +524,19 @@ class CampaignRunner:
                         f"exceeded {self.timeout_s:g} s deadline",
                         "", retry)
                 else:
-                    queue.append((scenario, attempt, 0.0))
+                    bystanders.append((scenario, attempt))
+            if crashed is not None or suspects:
+                suspects += bystanders
+                bystanders = []
+            if len(suspects) == 1:
+                scenario, attempt = suspects[0]
+                self._handle_failure(
+                    store, scenario, attempt, "crash",
+                    "worker process died mid-scenario", "", retry)
+            elif suspects:
+                alone.update(s.scenario_id for s, _ in suspects)
+                bystanders += suspects
+            queue.extend((s, a, 0.0) for s, a in bystanders)
             for process in list(getattr(pool, "_processes",
                                         {}).values()):
                 process.terminate()
@@ -527,10 +548,13 @@ class CampaignRunner:
             while queue or outstanding:
                 now = time.monotonic()
                 for _ in range(len(queue)):
-                    if len(outstanding) >= workers:
+                    if len(outstanding) >= workers or any(
+                            s.scenario_id in alone
+                            for s, _, _ in outstanding.values()):
                         break
                     scenario, attempt, ready_at = queue.popleft()
-                    if ready_at > now:
+                    if ready_at > now or (outstanding and
+                                          scenario.scenario_id in alone):
                         queue.append((scenario, attempt, ready_at))
                         continue
                     deadline = None if self.timeout_s is None \
@@ -541,7 +565,7 @@ class CampaignRunner:
                             + (self._fault_for(scenario), attempt))
                     except BrokenProcessPool:
                         queue.appendleft((scenario, attempt, 0.0))
-                        drain_and_rebuild("pool broke on submit")
+                        drain_and_rebuild("pool broke on submit", [])
                         continue
                     outstanding[future] = (scenario, attempt,
                                            deadline)
@@ -559,18 +583,14 @@ class CampaignRunner:
                 finished, _ = wait(set(outstanding), timeout=timeout,
                                    return_when=FIRST_COMPLETED)
 
-                broken = False
+                crashed = []
                 for future in finished:
                     scenario, attempt, _deadline = \
                         outstanding.pop(future)
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
-                        broken = True
-                        self._handle_failure(
-                            store, scenario, attempt, "crash",
-                            "worker process died mid-scenario", "",
-                            retry)
+                        crashed.append((scenario, attempt))
                         continue
                     except Exception as exc:
                         self._harness_error(store, scenario, exc)
@@ -580,8 +600,9 @@ class CampaignRunner:
                 hung = [f for f, (_, _, d) in outstanding.items()
                         if d is not None and now >= d
                         and not f.done()]
-                if broken:
-                    drain_and_rebuild("a worker process crashed")
+                if crashed:
+                    drain_and_rebuild("a worker process crashed",
+                                      crashed)
                 elif hung:
                     drain_and_rebuild(
                         f"{len(hung)} scenario(s) past the "

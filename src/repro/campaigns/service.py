@@ -6,7 +6,7 @@ localhost) accepts campaign submissions, a durable event-sourced
 queue feeds them one at a time to the existing supervised
 :class:`repro.campaigns.runner.CampaignRunner` (in a worker thread,
 which itself fans out over worker processes), and results land in
-the same result store (:mod:`repro.campaigns.colstore`) batch runs
+the same result store (:mod:`repro.campaigns.checkpoint`) batch runs
 use.
 
 **Durability.**  All service state lives under

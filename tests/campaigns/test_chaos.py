@@ -112,6 +112,25 @@ class TestProcessFaults:
         assert [e["index"] for e in entries] == [4]
         assert entries[0]["kind"] == "crash"
 
+    def test_crash_beside_another_scenario_quarantines_only_it(
+            self, tmp_path):
+        """A dead worker fails every future in flight.  Neither of
+        two scenarios in flight is charged; each then runs alone, so
+        only the crasher is quarantined and the other completes."""
+        pair = CampaignMatrix(name="chaos-pair", experiment="camp-fast",
+                              axes=(Axis("x", (1, 2)),), seed=42)
+        plan = FaultPlan((FaultSpec("crash", 0, times=0),
+                          FaultSpec("slow", 1, times=0, delay_s=0.5)))
+        status = CampaignRunner(
+            cache_dir=str(tmp_path), fault_plan=plan, jobs=2,
+            timeout_s=5.0, max_retries=1,
+            retry_backoff_s=0.001).run(pair)
+        entries = ResultStore(
+            pair, cache_dir=str(tmp_path)).load_quarantine()
+        assert [(e["index"], e["kind"]) for e in entries] \
+            == [(0, "crash")]
+        assert status.completed == 1 and status.quarantined == 1
+
     def test_hang_hits_watchdog_then_succeeds_on_retry(
             self, tmp_path, reference):
         plan = FaultPlan((FaultSpec("hang", scenario_index=5,

@@ -1,21 +1,23 @@
 """Checkpoint store: durability, torn writes, dedupe, integrity.
 
-Line-damage tests write legacy JSONL record files (plain
-``RecordWriter`` lines, the format stores used before chunks), which
-the store reads through its tail reader like any WAL tail.
+Each label's JSONL record log is the whole store.  Line-damage tests
+write a log with :class:`RecordWriter` and then edit its lines, as a
+kill, bit rot or a hand edit would.
 """
 
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaigns.checkpoint import (CheckpointCorruptionWarning,
-                                        RecordWriter, make_record,
-                                        record_crc)
-from repro.campaigns.colstore import ResultStore
+                                        RecordWriter, ResultStore,
+                                        make_record, record_crc)
 from repro.campaigns.matrix import Axis, CampaignMatrix
+from repro.experiments.api import _canonical_json
 
 
 def _matrix():
@@ -104,6 +106,22 @@ class TestRecords:
         assert issues == [] and len(records) == 3
         assert len(open(path).readlines()) == 4
 
+    def test_killed_writer_keeps_every_appended_record(self,
+                                                       tmp_path):
+        """Each append is fsynced before it returns, so a writer that
+        never closes (a SIGKILL) has already made its records
+        durable."""
+        store = ResultStore(_matrix(), cache_dir=str(tmp_path))
+        scenarios = _matrix().expand()
+        writer = store.writer("0of1")
+        writer.__enter__()
+        for s in scenarios:
+            writer.append(make_record(s, {"m": float(s.index)}, 0.1))
+        records, issues = store.scan()
+        writer.__exit__(None, None, None)
+        assert issues == []
+        assert set(records) == {s.scenario_id for s in scenarios}
+
     def test_duplicate_ids_deduped_across_files(self, tmp_path):
         store = ResultStore(_matrix(), cache_dir=str(tmp_path))
         scenario = _matrix().expand()[0]
@@ -140,8 +158,45 @@ class TestRecords:
             assert "dead" not in fh.read()
 
 
+_METRICS = st.dictionaries(
+    st.sampled_from(["mbps", "loss", "conv_s", "fair"]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    min_size=1, max_size=4)
+_PARAMS = st.fixed_dictionaries({
+    "x": st.integers(-1000, 1000),
+    "label": st.sampled_from(["a", "b", "longer-label"]),
+    "nested": st.lists(st.integers(0, 9), max_size=3),
+})
+_SEEDS = st.one_of(st.none(), st.integers(0, 2**63 - 1))
+
+
+class TestRoundTrip:
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.tuples(_METRICS, _SEEDS, _PARAMS),
+                         min_size=1, max_size=8))
+    def test_any_record_stream_reads_back_identically(
+            self, rows, tmp_path_factory):
+        """Records written through the store's writer scan back
+        canonical-JSON identical, CRCs intact: NaN and ±inf metrics,
+        per-record metric sets, absent seeds and nested params."""
+        store = ResultStore(_matrix(), cache_dir=str(
+            tmp_path_factory.mktemp("roundtrip")))
+        records = [make_record(SimpleNamespace(
+            scenario_id=f"rt-{i:04d}", index=i, seed=seed,
+            params=params), metrics, elapsed_s=0.01 * (i + 1))
+            for i, (metrics, seed, params) in enumerate(rows)]
+        with store.writer("0of1") as out:
+            for record in records:
+                out.append(record)
+        loaded, issues = store.scan()
+        assert issues == []
+        assert sorted(_canonical_json(r) for r in loaded.values()) \
+            == sorted(_canonical_json(r) for r in records)
+        assert all(record_crc(r) == r["crc"] for r in loaded.values())
+
+
 def _write_three(tmp_path):
-    """A legacy JSONL record file holding all three scenarios."""
+    """A record log holding all three scenarios."""
     store = ResultStore(_matrix(), cache_dir=str(tmp_path))
     store.ensure()
     scenarios = _matrix().expand()

@@ -6,13 +6,13 @@ import os
 import pytest
 
 from repro.campaigns.checkpoint import (CheckpointCorruptionWarning,
-                                        RecordWriter, make_record)
-from repro.campaigns.colstore import ResultStore, chunk_paths
+                                        ResultStore, make_record)
 from repro.campaigns.faults import (EXECUTION_KINDS, FAULT_KINDS,
                                     PROCESS_KINDS, STORE_KINDS,
                                     FaultInjectedError, FaultPlan,
                                     FaultSpec)
 from repro.campaigns.matrix import Axis, CampaignMatrix
+from repro.campaigns.runner import CampaignRunner
 
 
 def _matrix():
@@ -96,19 +96,23 @@ class TestFaultPlan:
             (FaultSpec("truncate-file"),)).requires_supervision
 
 
-def _store_with_records(tmp_path, sealed=False):
-    """A store holding every scenario's record: as a legacy JSONL
-    record file, or (``sealed``) in a chunk written by the store."""
+def _store_with_records(tmp_path):
+    """A store whose one record log holds every scenario's record."""
     matrix = _matrix()
     store = ResultStore(matrix, cache_dir=str(tmp_path))
-    store.ensure()
     scenarios = matrix.expand()
-    with (store.writer("0of1") if sealed else RecordWriter(
-            os.path.join(store.directory, "results-0of1.jsonl"))) \
-            as out:
+    with store.writer("0of1") as out:
         for s in scenarios:
             out.append(make_record(s, {"value": 1.0 + s.index}, 0.1))
     return matrix, store, scenarios
+
+
+def _completed_run(tmp_path):
+    """The store a completed campaign run leaves behind."""
+    matrix = _matrix()
+    assert CampaignRunner(cache_dir=str(tmp_path)).run(matrix).done
+    return ResultStore(matrix, cache_dir=str(tmp_path)), \
+        matrix.expand()
 
 
 class TestStoreFaults:
@@ -130,34 +134,32 @@ class TestStoreFaults:
         assert scenarios[1].scenario_id not in records
         assert len(records) == 2
 
-    def test_corrupt_record_in_a_chunk_breaks_one_row_crc(
+    def test_corrupt_record_after_a_run_breaks_one_line_crc(
             self, tmp_path):
-        """A sealed row gets the same digit flip a line does: the
-        chunk stays readable and only that row fails its CRC."""
-        matrix, store, scenarios = _store_with_records(tmp_path,
-                                                       sealed=True)
+        """The record log a completed run leaves takes the digit flip
+        on the targeted line only."""
+        store, scenarios = _completed_run(tmp_path)
         plan = FaultPlan((FaultSpec("corrupt-record",
                                     scenario_index=1, seed=7),))
-        notes = plan.apply_store_faults(store.directory)
-        assert "flipped a digit" in notes[0]
+        assert "flipped byte" in plan.apply_store_faults(
+            store.directory)[0]
         with pytest.warns(CheckpointCorruptionWarning, match=r"\[crc\]"):
             records, issues = store.scan()
-        assert [(i.line_no, i.kind) for i in issues] == [(2, "crc")]
-        assert scenarios[1].scenario_id not in records
-        assert len(records) == 2
+        assert [i.kind for i in issues] == ["crc"]
+        assert set(records) == {s.scenario_id for s in scenarios} \
+            - {scenarios[1].scenario_id}
 
-    def test_truncated_chunk_is_chunk_damage(self, tmp_path):
-        matrix, store, _ = _store_with_records(tmp_path, sealed=True)
+    def test_truncate_file_after_a_run_loses_one_record(self,
+                                                        tmp_path):
+        """Cutting the log a completed run leaves costs its last
+        record only: n - 1 records stay loadable."""
+        store, scenarios = _completed_run(tmp_path)
         plan = FaultPlan((FaultSpec("truncate-file", seed=3),))
-        assert "cut chunk" in plan.apply_store_faults(
+        assert "torn tail" in plan.apply_store_faults(
             store.directory)[0]
-        with pytest.warns(CheckpointCorruptionWarning,
-                          match=r"\[chunk\]"):
-            records, issues = store.scan()
-        assert records == {}
-        assert [(os.path.basename(i.path), i.kind) for i in issues] \
-            == [(os.path.basename(chunk_paths(store.directory)[0]),
-                 "chunk")]
+        records, issues = store.scan()
+        assert len(records) == len(scenarios) - 1
+        assert [i.kind for i in issues] == ["torn"]
 
     def test_corrupt_record_missing_target_is_noop(self, tmp_path):
         matrix, store, _ = _store_with_records(tmp_path)

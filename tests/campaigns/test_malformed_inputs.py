@@ -2,16 +2,15 @@
 never crashed on.
 
 Two boundaries take outside input.  One is the on-disk state a kill,
-bit rot or a hand edit can leave: WAL-tail and legacy JSONL record
-files, ``quarantine.jsonl``, the service's ``queue.jsonl`` and sealed
-npz chunks.  The other is the service socket's JSON requests.  For
-arbitrary byte lines, arbitrary JSON objects and objects with the
-right keys but arbitrary field values, the readers (``scan``,
-``load_quarantine``, ``replay``, the runner's live ``status``,
-``campaign verify``, the writer's reseal on open) and
-``CampaignService._dispatch`` must return
-normally.  Damage is reported once per damaged line or unreadable
-chunk; the logs skip it.
+bit rot or a hand edit can leave: the JSONL record logs,
+``quarantine.jsonl`` and the service's ``queue.jsonl``.  The other is
+the service socket's JSON requests.  For arbitrary byte lines,
+arbitrary JSON objects and objects with the right keys but arbitrary
+field values, the readers (``scan``, ``load_quarantine``, ``replay``,
+the runner's live ``status``, ``campaign verify``, the writer's
+torn-tail repair on open) and ``CampaignService._dispatch`` must
+return normally.  Damage is reported once per damaged line; the logs
+skip it.
 """
 
 import asyncio
@@ -21,14 +20,12 @@ import json
 import os
 import warnings
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.campaigns import (CampaignRunner, CheckpointCorruptionWarning,
                              ResultStore, get_campaign)
-from repro.campaigns.checkpoint import (check_record, make_record,
-                                        read_jsonl)
-from repro.campaigns.colstore import tail_paths
+from repro.campaigns.checkpoint import (check_record, log_paths,
+                                        make_record, read_jsonl)
 from repro.campaigns.service import CampaignService, SubmissionQueue
 from repro.cli import main
 
@@ -75,31 +72,11 @@ _QUEUE_LINE = _ANY_LINE | _shaped(
     st.sampled_from(["submit", "state"]),
     _shaped(("id", "campaign", "options", "state", "completed",
              "error")))
-_CHUNK_COLUMNS = ("schema", "scenario_id", "index", "seed",
-                  "seed_present", "params_json", "elapsed_s", "crc",
-                  "metric_names", "metric_values", "metric_present")
-_ARRAY = st.one_of(
-    st.lists(st.integers(-5, 5), max_size=3).map(np.array),
-    st.lists(st.floats(), max_size=3).map(np.array),
-    st.lists(st.text(max_size=4), max_size=3).map(np.array),
-    st.just(np.array(["repro-colstore/1"])))
-_CHUNK = st.one_of(
-    st.binary(max_size=200),
-    st.fixed_dictionaries({k: _ARRAY for k in _CHUNK_COLUMNS}))
 
 
 def _write_lines(path, lines):
     with open(path, "wb") as fh:
         fh.write(b"\n".join(lines))
-
-
-def _write_chunk(path, chunk):
-    if isinstance(chunk, bytes):
-        with open(path, "wb") as fh:
-            fh.write(chunk)
-    else:
-        with open(path, "wb") as fh:
-            np.savez(fh, **chunk)
 
 
 def _occupied(lines):
@@ -108,29 +85,22 @@ def _occupied(lines):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(tail=st.lists(_RECORD_LINE, max_size=6),
-       legacy=st.lists(_RECORD_LINE, max_size=4),
-       quarantine=st.lists(_QUARANTINE_LINE, max_size=4),
-       chunks=st.lists(_CHUNK, max_size=2))
+@given(mine=st.lists(_RECORD_LINE, max_size=6),
+       other=st.lists(_RECORD_LINE, max_size=4),
+       quarantine=st.lists(_QUARANTINE_LINE, max_size=4))
 def test_store_readers_classify_every_damaged_line(
-        tmp_path_factory, tail, legacy, quarantine, chunks):
+        tmp_path_factory, mine, other, quarantine):
     store = ResultStore(MATRIX,
                         cache_dir=str(tmp_path_factory.mktemp("c")))
     store.ensure()
-    tail_path = os.path.join(store.directory, "results-0of1.jsonl")
-    legacy_path = os.path.join(store.directory, "results-0of2.jsonl")
-    _write_lines(tail_path, tail)
-    _write_lines(legacy_path, legacy)
+    mine_path = os.path.join(store.directory, "results-0of1.jsonl")
+    other_path = os.path.join(store.directory, "results-0of2.jsonl")
+    _write_lines(mine_path, mine)
+    _write_lines(other_path, other)
     _write_lines(store.quarantine_path, quarantine)
-    chunk_files = []
-    for seq, chunk in enumerate(chunks):
-        path = os.path.join(store.directory,
-                            f"columns-old-{seq:08d}.npz")
-        _write_chunk(path, chunk)
-        chunk_files.append(path)
 
     # The line reader gives each non-blank line exactly one verdict.
-    for path, lines in ((tail_path, tail), (legacy_path, legacy)):
+    for path, lines in ((mine_path, mine), (other_path, other)):
         items, issues = read_jsonl(path, check_record)
         verdicts = sorted([n for n, _ in items]
                           + [i.line_no for i in issues])
@@ -144,15 +114,9 @@ def test_store_readers_classify_every_damaged_line(
                for w in caught) == any(i.kind != "torn" for i in issues)
     seen = [(i.path, i.line_no) for i in issues]
     assert len(seen) == len(set(seen))
-    for path in (tail_path, legacy_path):
+    for path in (mine_path, other_path):
         expected = len(read_jsonl(path, check_record)[1])
         assert sum(i.path == path for i in issues) == expected
-    for path, chunk in zip(chunk_files, chunks):
-        mine = [i for i in issues if i.path == path]
-        whole = [i for i in mine if i.line_no == 0]
-        assert not whole or mine == whole[:1]   # a bad chunk: once
-        if isinstance(chunk, bytes):
-            assert len(whole) == 1      # random bytes never load
     assert all(isinstance(sid, str) for sid in records)
 
     entries = store.load_quarantine()
@@ -167,16 +131,20 @@ def test_store_readers_classify_every_damaged_line(
                          "--cache-dir", cache_dir])
         assert code in (0, 1)
 
-        # The next writer on the label seals the tail's valid records
-        # and drops its damage: nothing is lost, nothing new breaks.
+        # The next writer on the label repairs only a torn final
+        # line: every record stays, no line becomes damage, and the
+        # log ends on a line boundary for the next append.
         with store.writer("0of1"):
             pass
-        resealed, after = store.scan()
-    assert set(resealed) == set(records)
-    assert os.path.getsize(tail_path) == 0
-    assert not [i for i in after if i.path == tail_path]
-    assert sorted(tail_paths(store.directory)) == sorted(
-        [tail_path, legacy_path])
+        reopened, after = store.scan()
+    assert set(reopened) == set(records)
+    assert {i.line_no for i in after if i.path == mine_path} <= \
+        {i.line_no for i in issues if i.path == mine_path}
+    with open(mine_path, "rb") as fh:
+        data = fh.read()
+    assert data == b"" or data.endswith(b"\n")
+    assert log_paths(store.directory) == sorted(
+        [mine_path, other_path])
 
 
 @settings(max_examples=60, deadline=None,

@@ -27,8 +27,7 @@ import pytest
 from repro.campaigns import (CampaignRunner, CheckpointCorruptionWarning,
                              ResultStore, get_campaign,
                              register_campaign)
-from repro.campaigns.checkpoint import RecordWriter, make_record
-from repro.campaigns.colstore import write_chunk
+from repro.campaigns.checkpoint import make_record
 from repro.campaigns.faults import FAULT_KINDS
 from repro.campaigns.matrix import Axis, CampaignMatrix
 from repro.campaigns.service import (CampaignService, ServiceError,
@@ -378,34 +377,28 @@ class TestLiveStatus:
         duplicated, CRC-damaged and stale records count once, never
         and never."""
         store = ResultStore(CHAOS, cache_dir=str(tmp_path))
-        store.ensure()
         scenarios = CHAOS.expand()
 
         def record(i, mbps):
             return make_record(scenarios[i], {"mbps": mbps}, 0.1)
 
-        def path(name):
-            return os.path.join(store.directory, name)
-
-        # Sealed, then killed before the tail was truncated: the next
-        # writer on the label seals the same two records again.
-        sealed = [record(0, 1.0), record(1, 2.0)]
-        with RecordWriter(path("results-0of1.jsonl")) as out:
-            for rec in sealed:
-                out.append(rec)
-        write_chunk(path("columns-0of1-00000000.npz"), sealed)
-        with store.writer("0of1"):
-            pass
-        # A chunk row whose metric no longer matches its stored CRC.
+        # Scenario #0 completed under two labels (two shards, or a
+        # resumed run under another one): the reads keep one copy.
+        with store.writer("0of1") as out:
+            out.append(record(0, 1.0))
+            out.append(record(1, 2.0))
+        # A line whose metric no longer matches its stored CRC.
         stale_crc = record(3, 3.0)
         stale_crc["metrics"]["mbps"] = 500.0
-        write_chunk(path("columns-b-00000000.npz"),
-                    [record(2, 4.0), stale_crc])
+        with store.writer("b") as out:
+            out.append(record(0, 1.0))
+            out.append(record(2, 4.0))
+            out.append(stale_crc)
         # A record of a scenario outside the current expansion.
         outside = make_record(SimpleNamespace(
             scenario_id="0123456789abcdef", index=99, seed=5,
             params={"x": 9, "y": 0.5}), {"mbps": 1000.0}, 0.1)
-        with RecordWriter(path("results-c.jsonl")) as out:
+        with store.writer("c") as out:
             out.append(record(4, 8.0))
             out.append(outside)
 

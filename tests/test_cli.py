@@ -433,28 +433,27 @@ class TestCampaignResilienceCLI:
         assert "7/8 valid records" in out
         assert "1 corrupt line(s)" in out and "[crc]" in out
 
-    def test_verify_flags_damaged_final_chunk(self, tmp_path, capsys):
-        """Chunks appear only by fsync + rename, so an unreadable
-        final chunk is corruption, not a torn write to shrug off."""
-        import os
-
-        from repro.campaigns import (CheckpointCorruptionWarning,
-                                     ResultStore, get_campaign)
-        from repro.campaigns.colstore import chunk_paths
+    def test_verify_after_truncate_file_keeps_7_of_8(self, tmp_path,
+                                                     capsys):
+        """Cutting a completed run's record log costs its last record
+        only, and a torn final line is what a kill leaves, not
+        corruption: verify exits 0."""
+        from repro.campaigns import ResultStore, get_campaign
+        from repro.campaigns.faults import FaultPlan, FaultSpec
 
         cache = str(tmp_path / "cache")
         assert main(["campaign", "run", "smoke-tiny",
                      "--cache-dir", cache]) == 0
-        final = chunk_paths(ResultStore(get_campaign("smoke-tiny"),
-                                        cache_dir=cache).directory)[-1]
-        os.truncate(final, os.path.getsize(final) // 2)
+        store = ResultStore(get_campaign("smoke-tiny"),
+                            cache_dir=cache)
+        plan = FaultPlan((FaultSpec("truncate-file", seed=1),))
+        plan.apply_store_faults(store.directory)
         capsys.readouterr()
-        with pytest.warns(CheckpointCorruptionWarning):
-            assert main(["campaign", "verify", "smoke-tiny",
-                         "--cache-dir", cache]) == 1
+        assert main(["campaign", "verify", "smoke-tiny",
+                     "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
-        assert "0/8 valid records" in out and "torn" not in out
-        assert "1 corrupt line(s)" in out and "[chunk]" in out
+        assert "7/8 valid records" in out and "1 torn tail(s)" in out
+        assert "corrupt" not in out
 
     def test_chaos_rejects_unknown_fault_kind(self, capsys):
         assert main(["campaign", "chaos", "smoke-tiny",
@@ -484,18 +483,24 @@ class TestCampaignServiceCLI:
         # reporting on nothing must not create anything
         assert not os.path.exists(cache)
 
-    def test_run_with_columnar_store(self, tmp_path, capsys):
+    def test_run_writes_one_log_line_per_record(self, tmp_path,
+                                                capsys):
+        import os
+
         from repro.campaigns import ResultStore, get_campaign
-        from repro.campaigns.colstore import chunk_paths
 
         cache = str(tmp_path / "cache")
         assert main(["campaign", "run", "smoke-tiny",
                      "--cache-dir", cache]) == 0
         store = ResultStore(get_campaign("smoke-tiny"),
                             cache_dir=cache)
-        assert chunk_paths(store.directory), "no chunks sealed"
+        assert sorted(os.listdir(store.directory)) == [
+            "manifest.json", "results-0of1.jsonl"]
+        with open(os.path.join(store.directory,
+                               "results-0of1.jsonl")) as fh:
+            assert len(fh.read().splitlines()) == 8
         capsys.readouterr()
-        # report and verify read the sealed chunks
+        # report and verify read the record log
         assert main(["campaign", "report", "smoke-tiny",
                      "--cache-dir", cache]) == 0
         assert "8/8 scenarios summarized" in capsys.readouterr().out
